@@ -29,38 +29,50 @@ let warn ~rule ?func ~addr fmt = Diag.make ~rule ~severity:Diag.Warning ?func ~a
 
 let reg_list_str rs = String.concat "," (List.map Reg.name rs)
 
-(* decode the trampoline region linearly; alignment padding (zero bytes)
-   does not decode and is skipped a halfword at a time *)
-let decode_tramp (rw : Symtab.t) (m : M.t) :
-    (int64, Instruction.t) Hashtbl.t option =
+(* decode the trampoline region linearly, in ascending address order;
+   alignment padding (zero bytes) does not decode and is skipped a
+   halfword at a time *)
+let decode_tramp (rw : Symtab.t) (m : M.t) : Instruction.t array option =
   match Symtab.region_at rw m.M.m_tramp_base with
   | None -> None
   | Some r ->
-      let insns = Hashtbl.create 128 in
       let tend = Int64.add m.M.m_tramp_base (Int64.of_int m.M.m_tramp_size) in
-      let rec go addr =
-        if Int64.compare addr tend < 0 then
+      let rec go addr acc =
+        if Int64.compare addr tend >= 0 then acc
+        else
           let pos = Int64.to_int (Int64.sub addr r.Symtab.rg_addr) in
           match
             Instruction.decode ~base:r.Symtab.rg_addr r.Symtab.rg_data ~pos
           with
-          | Some ins ->
-              Hashtbl.replace insns addr ins;
-              go (Instruction.next_addr ins)
-          | None -> go (Int64.add addr 2L)
+          | Some ins -> go (Instruction.next_addr ins) (ins :: acc)
+          | None -> go (Int64.add addr 2L) acc
       in
-      go m.M.m_tramp_base;
-      Some insns
+      Some (Array.of_list (List.rev (go m.M.m_tramp_base [])))
+
+(* index of the first decoded instruction at or above [a] *)
+let first_at_or_above (insns : Instruction.t array) a =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Int64.compare insns.(mid).Instruction.addr a < 0 then go (mid + 1) hi
+      else go lo mid
+  in
+  go 0 (Array.length insns)
+
+let is_decoded insns a =
+  let k = first_at_or_above insns a in
+  k < Array.length insns && Int64.equal insns.(k).Instruction.addr a
 
 (* instructions of one trampoline span [lo, hi), in address order *)
 let span_insns insns lo hi : Instruction.t list =
-  Hashtbl.fold
-    (fun a ins acc ->
-      if Int64.compare a lo >= 0 && Int64.compare a hi < 0 then ins :: acc
-      else acc)
-    insns []
-  |> List.sort (fun (a : Instruction.t) b ->
-         Int64.compare a.Instruction.addr b.Instruction.addr)
+  let n = Array.length insns in
+  let rec take k =
+    if k < n && Int64.compare insns.(k).Instruction.addr hi < 0 then
+      insns.(k) :: take (k + 1)
+    else []
+  in
+  take (first_at_or_above insns lo)
 
 let fold_height insns =
   List.fold_left
@@ -98,7 +110,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
     | None ->
         add (err ~rule:"manifest-mismatch" ~addr:m.M.m_tramp_base
                "no trampoline region at manifest base 0x%Lx" m.M.m_tramp_base);
-        Hashtbl.create 1
+        [||]
   in
   (match Symtab.region_at rw m.M.m_data_base with
   | Some r when r.Symtab.rg_size >= m.M.m_data_size -> ()
@@ -107,17 +119,9 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
              "patch data area (%d bytes at 0x%Lx) missing from the rewritten \
               image"
              m.M.m_data_size m.M.m_data_base));
-  let tramp_end = Int64.add m.M.m_tramp_base (Int64.of_int m.M.m_tramp_size) in
-  let span_end e =
-    List.fold_left
-      (fun acc (e' : M.entry) ->
-        if
-          Int64.compare e'.M.me_tramp e.M.me_tramp > 0
-          && Int64.compare e'.M.me_tramp acc < 0
-        then e'.M.me_tramp
-        else acc)
-      tramp_end m.M.m_entries
-  in
+  let ix = M.index m in
+  let traps = Hashtbl.create 8 in
+  List.iter (fun od -> Hashtbl.replace traps od ()) m.M.m_traps;
   (* --- per-entry checks -------------------------------------------------- *)
   List.iter
     (fun (e : M.entry) ->
@@ -142,7 +146,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
               fail_rule "springboard-target"
                 "springboard targets 0x%Lx; manifest trampoline is 0x%Lx" tgt
                 e.M.me_tramp
-            else if not (Hashtbl.mem tramp_insns tgt) then
+            else if not (is_decoded tramp_insns tgt) then
               fail_rule "springboard-target"
                 "springboard target 0x%Lx is not on a trampoline instruction \
                  boundary"
@@ -179,13 +183,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                   fail_rule "springboard-target"
                     "auipc at 0x%Lx is not followed by a matching jalr" at)
           | "trap", Some ins when Instruction.op ins = Op.EBREAK ->
-              if
-                not
-                  (List.exists
-                     (fun (o, d) ->
-                       Int64.equal o at && Int64.equal d e.M.me_tramp)
-                     m.M.m_traps)
-              then
+              if not (Hashtbl.mem traps (at, e.M.me_tramp)) then
                 fail_rule "trap-unmapped"
                   "trap springboard at 0x%Lx has no trap-map entry to 0x%Lx"
                   at e.M.me_tramp
@@ -216,7 +214,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                      at e.M.me_sb_len)
           | _ -> ());
           (* 2. the relocated block in the trampoline *)
-          let span = span_insns tramp_insns e.M.me_tramp (span_end e) in
+          let span = span_insns tramp_insns e.M.me_tramp (M.span_end ix e) in
           if span = [] then
             fail_rule "manifest-mismatch"
               "no trampoline instructions at 0x%Lx for block 0x%Lx"
@@ -306,16 +304,6 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                 e.M.me_insertions))
     m.M.m_entries;
   (* --- jump tables in the rewritten image -------------------------------- *)
-  let patched_entry a =
-    List.find_opt (fun (e : M.entry) -> Int64.equal e.M.me_block a) m.M.m_entries
-  in
-  let inside_patched a =
-    List.find_opt
-      (fun (e : M.entry) ->
-        Int64.compare a e.M.me_block > 0
-        && Int64.compare a e.M.me_block_end < 0)
-      m.M.m_entries
-  in
   let is_insn_boundary a =
     match Cfg.block_containing cfg a with
     | Some b ->
@@ -348,7 +336,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
         | _ -> ());
         List.iter
           (fun tgt ->
-            match inside_patched tgt with
+            match M.entry_inside ix tgt with
             | Some e ->
                 add (err ~rule:"dangling-jump-table" ?func ~addr:bstart
                        "jump-table target 0x%Lx lands inside patched block \
@@ -370,7 +358,7 @@ let verify ~(orig : Symtab.t) (cfg : Cfg.t) ~(manifest : M.t)
                      "jump-table slot 0x%Lx unreadable in the rewritten image"
                      slot)
           | Some tgt -> (
-              match (patched_entry tgt, inside_patched tgt) with
+              match (M.entry_for ix tgt, M.entry_inside ix tgt) with
               | Some _, _ -> () (* lands on a springboard: fine *)
               | None, Some e ->
                   add (err ~rule:"dangling-jump-table" ?func ~addr:bstart

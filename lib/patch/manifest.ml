@@ -160,5 +160,64 @@ let read_file path =
   close_in ic;
   of_string s
 
-let entry_for m addr =
-  List.find_opt (fun e -> Int64.equal e.me_block addr) m.m_entries
+(* --- lookups ----------------------------------------------------------------- *)
+
+(* Built once per manifest so per-entry checks stay O(log n):
+   [ix_blocks] maps each block address to the first entry listed for
+   it; [ix_by_block] holds those entries sorted by block (blocks are
+   disjoint, so at most one contains an address); [ix_tramps] is every
+   trampoline address, sorted. *)
+type index = {
+  ix_by_block : entry array;
+  ix_blocks : (int64, entry) Hashtbl.t;
+  ix_tramps : int64 array;
+  ix_tramp_end : int64;
+}
+
+(* Number of leading elements of sorted [a] for which [below x] holds. *)
+let count_below below a =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if below a.(mid) then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+let index m =
+  let blocks = Hashtbl.create (List.length m.m_entries) in
+  List.iter
+    (fun e ->
+      if not (Hashtbl.mem blocks e.me_block) then
+        Hashtbl.replace blocks e.me_block e)
+    m.m_entries;
+  let by_block = Array.of_seq (Hashtbl.to_seq_values blocks) in
+  Array.sort (fun a b -> Int64.compare a.me_block b.me_block) by_block;
+  let tramps = Array.of_list (List.map (fun e -> e.me_tramp) m.m_entries) in
+  Array.sort Int64.compare tramps;
+  {
+    ix_by_block = by_block;
+    ix_blocks = blocks;
+    ix_tramps = tramps;
+    ix_tramp_end = Int64.add m.m_tramp_base (Int64.of_int m.m_tramp_size);
+  }
+
+let entry_for ix addr = Hashtbl.find_opt ix.ix_blocks addr
+
+let entry_inside ix addr =
+  let k =
+    count_below (fun e -> Int64.compare e.me_block addr < 0) ix.ix_by_block
+  in
+  if k = 0 then None
+  else
+    let e = ix.ix_by_block.(k - 1) in
+    if Int64.compare addr e.me_block_end < 0 then Some e else None
+
+(* The trampoline span owned by [e] ends at the next higher trampoline
+   address of any entry (entries share one region, allocated in address
+   order), or at the end of the region. *)
+let span_end ix e =
+  let k = count_below (fun t -> Int64.compare t e.me_tramp <= 0) ix.ix_tramps in
+  if k = Array.length ix.ix_tramps then ix.ix_tramp_end
+  else if Int64.compare ix.ix_tramps.(k) ix.ix_tramp_end < 0 then ix.ix_tramps.(k)
+  else ix.ix_tramp_end

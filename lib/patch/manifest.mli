@@ -47,4 +47,22 @@ val to_string : t -> string
 val of_string : string -> t
 val write_file : string -> t -> unit
 val read_file : string -> t
-val entry_for : t -> int64 -> entry option
+
+(** Lookups over one manifest, built in O(n log n) by {!index} and
+    answered in O(log n) or O(1). *)
+type index
+
+val index : t -> index
+
+(** The entry whose block starts at an address (the first one listed,
+    if several claim it). *)
+val entry_for : index -> int64 -> entry option
+
+(** The entry whose block strictly contains an address: past the
+    block's start, before its end. *)
+val entry_inside : index -> int64 -> entry option
+
+(** End (exclusive) of the trampoline span an entry owns: the next
+    higher trampoline address of any entry, capped at the end of the
+    trampoline region. *)
+val span_end : index -> entry -> int64

@@ -340,8 +340,7 @@ type plan = {
 
 let plan (t : t) : plan =
   let cache = liveness_cache () in
-  (* 1. build all trampolines *)
-  let items = ref [] in
+  (* 1. build all trampolines, one item chunk per block *)
   let blocks =
     Hashtbl.fold (fun baddr reqs acc -> (baddr, reqs) :: acc) t.requests []
     |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
@@ -349,6 +348,7 @@ let plan (t : t) : plan =
   let block_insertions : (int64, Manifest.insertion list) Hashtbl.t =
     Hashtbl.create 16
   in
+  let chunks = ref [] in
   List.iter
     (fun (baddr, reqs) ->
       let b =
@@ -397,14 +397,15 @@ let plan (t : t) : plan =
           reqs
       in
       Hashtbl.replace block_insertions baddr (List.rev !minfo);
-      items :=
-        !items
-        @ Trampoline.build ~entry_label:(tramp_label b) b ~insertions
-            ~edge_insertions
+      chunks :=
+        (Trampoline.build ~entry_label:(tramp_label b) b ~insertions
+           ~edge_insertions
         @ [ Asm.Align 4 ])
+        :: !chunks)
     blocks;
   let asm =
-    Asm.assemble ~base:t.tramp_base ~symbols:Trampoline.abs_symbols !items
+    Asm.assemble ~base:t.tramp_base ~symbols:Trampoline.abs_symbols
+      (List.concat (List.rev !chunks))
   in
   (* 2. springboards *)
   let traps = ref [] in

@@ -31,7 +31,9 @@ val pcrel_hi_lo : int64 -> int * int
 
 type result = {
   code : Bytes.t;
-  labels : (string * int64) list;  (** label -> absolute address *)
+  labels : (string, int64) Hashtbl.t;
+      (** label -> absolute address; read it through {!label_opt} and
+          {!label_addr} *)
 }
 
 (** Assemble [items] for load address [base].  [symbols] resolves labels
@@ -41,6 +43,9 @@ type result = {
 val assemble :
   ?base:int64 -> ?symbols:(string -> int64 option) -> item list -> result
 
-(** Address of a label in an assembly result.
+(** Address of a label in an assembly result, in constant time. *)
+val label_opt : result -> string -> int64 option
+
+(** Like {!label_opt}.
     @raise Undefined_label if absent. *)
 val label_addr : result -> string -> int64

@@ -43,12 +43,13 @@ let check_manifest ?config ~orig:(_ : Symtab.t) (cfg : Parse_api.Cfg.t)
     ~(manifest : Patch_api.Manifest.t) ~(rewritten : Elfkit.Types.image) :
     report =
   let rw_code = fetcher (Symtab.of_image rewritten) in
+  let index = Patch_api.Manifest.index manifest in
   let sites =
     List.map
       (fun e ->
         let site =
           tspan "verify:symexec" (fun () ->
-              Equiv.check_site ?config ~cfg ~manifest ~rw_code e)
+              Equiv.check_site ?config ~cfg ~manifest ~index ~rw_code e)
         in
         (match site.Equiv.s_verdict with
         | Equiv.Proved -> Obs.incr c_ok

@@ -35,17 +35,6 @@ type site = {
 let default_config =
   { Symexec.max_steps = 2048; max_paths = 48; private_ranges = [] }
 
-(* The trampoline span owned by [e]: up to the next entry's trampoline
-   (entries share one region, allocated in address order). *)
-let span_end (m : Manifest.t) (e : Manifest.entry) =
-  let limit = Int64.add m.Manifest.m_tramp_base (Int64.of_int m.Manifest.m_tramp_size) in
-  List.fold_left
-    (fun acc e' ->
-      let t = e'.Manifest.me_tramp in
-      if Int64.compare t e.Manifest.me_tramp > 0 && Int64.compare t acc < 0 then t
-      else acc)
-    limit m.Manifest.m_entries
-
 let excused_regs (e : Manifest.entry) =
   let base = [ Riscv.Reg.t1 ] in
   let base =
@@ -208,9 +197,10 @@ let compare_paths ~config ~(m : Manifest.t) ~excused ~rw_code ~tramp_domain
 
 (* --- the site check ------------------------------------------------------- *)
 
+(* [index] is [Manifest.index manifest], built once per manifest. *)
 let check_site ?(config = default_config) ~(cfg : Parse_api.Cfg.t)
-    ~(manifest : Manifest.t) ~(rw_code : int64 -> Instruction.t option)
-    (e : Manifest.entry) : site =
+    ~(manifest : Manifest.t) ~(index : Manifest.index)
+    ~(rw_code : int64 -> Instruction.t option) (e : Manifest.entry) : site =
   let mk verdict ~po ~pt ~steps =
     {
       s_block = e.Manifest.me_block;
@@ -227,7 +217,7 @@ let check_site ?(config = default_config) ~(cfg : Parse_api.Cfg.t)
   | Some b -> (
       let b_lo = e.Manifest.me_block and b_hi = e.Manifest.me_block_end in
       let tramp_lo = e.Manifest.me_tramp in
-      let tramp_hi = span_end manifest e in
+      let tramp_hi = Manifest.span_end index e in
       let orig_insns = Hashtbl.create 16 in
       List.iter
         (fun (i : Instruction.t) ->

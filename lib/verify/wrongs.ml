@@ -79,7 +79,7 @@ let encode_same_width (orig_len : int) (i : Insn.t) =
 (* Linear decode of the trampoline span owned by the (single) manifest
    entry. *)
 let span_insns img (m : Manifest.t) (e : Manifest.entry) =
-  let hi = Equiv.span_end m e in
+  let hi = Manifest.span_end (Manifest.index m) e in
   let st = Symtab.of_image img in
   let rec go pc acc =
     if Int64.compare pc hi >= 0 then List.rev acc

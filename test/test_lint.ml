@@ -199,7 +199,7 @@ let instrument_work () =
   (st, cfg, img, m, work)
 
 let work_entry_entry cfg m (work : Cfg.func) =
-  match Manifest.entry_for m work.Cfg.f_entry with
+  match Manifest.entry_for (Manifest.index m) work.Cfg.f_entry with
   | Some e -> e
   | None -> Alcotest.fail "no manifest entry for work's entry block"
   [@@warning "-27"]
@@ -355,6 +355,226 @@ let test_hook_clean_rewrite_passes () =
   Verifier.uninstall ();
   checkb "hooked rewrite verifies" true ok
 
+(* --- manifest lookups against linear-scan oracles ------------------------ *)
+
+(* the definitions the index replaced: one scan of every entry per query *)
+let oracle_span_end (m : Manifest.t) (e : Manifest.entry) =
+  List.fold_left
+    (fun acc (e' : Manifest.entry) ->
+      let t = e'.Manifest.me_tramp in
+      if Int64.compare t e.Manifest.me_tramp > 0 && Int64.compare t acc < 0
+      then t
+      else acc)
+    (Int64.add m.Manifest.m_tramp_base (Int64.of_int m.Manifest.m_tramp_size))
+    m.Manifest.m_entries
+
+let oracle_entry_for (m : Manifest.t) a =
+  List.find_opt (fun (e : Manifest.entry) -> Int64.equal e.Manifest.me_block a)
+    m.Manifest.m_entries
+
+let oracle_entry_inside (m : Manifest.t) a =
+  List.find_opt
+    (fun (e : Manifest.entry) ->
+      Int64.compare a e.Manifest.me_block > 0
+      && Int64.compare a e.Manifest.me_block_end < 0)
+    m.Manifest.m_entries
+
+let check_against_oracles (m : Manifest.t) =
+  let ix = Manifest.index m in
+  let same_entry what a got want =
+    checkb (Printf.sprintf "%s 0x%Lx" what a) true (got = want)
+  in
+  List.iter
+    (fun (e : Manifest.entry) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "span end of 0x%Lx" e.Manifest.me_block)
+        (oracle_span_end m e) (Manifest.span_end ix e);
+      List.iter
+        (fun a ->
+          same_entry "entry_for" a (Manifest.entry_for ix a) (oracle_entry_for m a);
+          same_entry "entry_inside" a (Manifest.entry_inside ix a)
+            (oracle_entry_inside m a))
+        [
+          Int64.sub e.Manifest.me_block 2L;
+          e.Manifest.me_block;
+          Int64.add e.Manifest.me_block 2L;
+          Int64.sub e.Manifest.me_block_end 2L;
+          e.Manifest.me_block_end;
+        ])
+    m.Manifest.m_entries
+
+(* a hand-written manifest from (block, block_end, tramp) triples *)
+let manifest_json ~tramp_size entries =
+  Printf.sprintf
+    {|{"tramp_base":4096,"tramp_size":%d,"data_base":65536,"data_size":8,"traps":[],"entries":[%s]}|}
+    tramp_size
+    (String.concat ","
+       (List.map
+          (fun (block, block_end, tramp) ->
+            Printf.sprintf
+              {|{"block":%d,"block_end":%d,"func":%d,"tramp":%d,"strategy":"jal","sb_len":4,"sb_scratch":null,"insertions":[]}|}
+              block block_end block tramp)
+          entries))
+
+let test_span_single_entry () =
+  let m = Manifest.of_string (manifest_json ~tramp_size:64 [ (256, 272, 4096) ]) in
+  let ix = Manifest.index m in
+  let e = List.hd m.Manifest.m_entries in
+  Alcotest.(check int64) "span runs to the region end" 4160L (Manifest.span_end ix e);
+  checkb "entry_for its block" true (Manifest.entry_for ix 256L = Some e);
+  checkb "inside its block" true (Manifest.entry_inside ix 258L = Some e);
+  checkb "its start is not inside" true (Manifest.entry_inside ix 256L = None);
+  checkb "its end is not inside" true (Manifest.entry_inside ix 272L = None);
+  check_against_oracles m
+
+let test_span_out_of_order () =
+  (* block order 0x100, 0x200, 0x300; trampoline order 0x300, 0x100, 0x200 *)
+  let m =
+    Manifest.of_string
+      (manifest_json ~tramp_size:0x90
+         [ (0x100, 0x110, 0x1040); (0x200, 0x208, 0x1060); (0x300, 0x30c, 0x1000) ])
+  in
+  let ix = Manifest.index m in
+  let ends = List.map (Manifest.span_end ix) m.Manifest.m_entries in
+  Alcotest.(check (list int64)) "spans follow trampoline order"
+    [ 0x1060L; 0x1090L; 0x1040L ] ends;
+  check_against_oracles m
+
+let test_span_last_entry () =
+  let m =
+    Manifest.of_string
+      (manifest_json ~tramp_size:0x30
+         [ (0x100, 0x110, 0x1000); (0x200, 0x208, 0x1010); (0x300, 0x30c, 0x1020) ])
+  in
+  let last = List.nth m.Manifest.m_entries 2 in
+  Alcotest.(check int64) "last span ends at tramp_base + tramp_size"
+    (Int64.add m.Manifest.m_tramp_base (Int64.of_int m.Manifest.m_tramp_size))
+    (Manifest.span_end (Manifest.index m) last);
+  (* a shrunk region caps every span past its end *)
+  check_against_oracles { m with Manifest.m_tramp_size = 0x14 }
+
+(* every block of every function of [image] gets a counter *)
+let every_block_rewriter image =
+  let st = Symtab.of_image image in
+  let cfg = Parser.parse st in
+  let rw = Rewriter.create st cfg in
+  let c = Rewriter.allocate_var rw "c" 8 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun pt -> Rewriter.insert rw pt [ Snippet.incr c ])
+        (Point.block_entries cfg f))
+    (Cfg.functions cfg);
+  (st, cfg, rw)
+
+let test_span_builtins () =
+  List.iter
+    (fun src ->
+      let img = (Minicc.Driver.compile src).Minicc.Driver.image in
+      let _, _, rw = every_block_rewriter img in
+      ignore (Rewriter.rewrite rw);
+      check_against_oracles (Option.get (Rewriter.manifest rw)))
+    Minicc.Programs.
+      [ fib; calls; switch_demo; mixed; matmul ~n:8 ~reps:1 ]
+
+(* --- scaling: rewrite and verify cost per point must not grow ---------- *)
+
+(* [n] functions alternating a loop and an eight-way switch (a jump
+   table), reached from main through drivers of 16 calls each so no
+   function grows with [n] *)
+let scaling_source n =
+  let b = Buffer.create (n * 256) in
+  for k = 0 to n - 1 do
+    if k mod 2 = 0 then
+      Printf.bprintf b
+        {|
+int f%d(int x) {
+  int i;
+  int s;
+  s = x;
+  for (i = 0; i < %d; i = i + 1) {
+    if ((s & 3) == 1) {
+      s = s + i;
+    } else {
+      s = s - %d;
+    }
+  }
+  return s;
+}
+|}
+        k (3 + (k mod 5)) (1 + (k mod 7))
+    else begin
+      Printf.bprintf b "\nint f%d(int x) {\n  switch (x & 7) {\n" k;
+      for c = 0 to 7 do
+        Printf.bprintf b "    case %d: return x * %d + %d;\n" c (c + 2) k
+      done;
+      Printf.bprintf b "    default: return %d;\n  }\n}\n" k
+    end
+  done;
+  let drivers = (n + 15) / 16 in
+  for d = 0 to drivers - 1 do
+    Printf.bprintf b "\nint d%d(int x) {\n  int acc;\n  acc = x;\n" d;
+    for k = d * 16 to min n ((d + 1) * 16) - 1 do
+      Printf.bprintf b "  acc = acc + f%d(%d);\n" k k
+    done;
+    Buffer.add_string b "  return acc;\n}\n"
+  done;
+  Buffer.add_string b "\nint main() {\n  int acc;\n  acc = 0;\n";
+  for d = 0 to drivers - 1 do
+    Printf.bprintf b "  acc = d%d(acc & 65535);\n" d
+  done;
+  Buffer.add_string b "  return acc & 255;\n}\n";
+  Buffer.contents b
+
+let scaling_n = 100
+
+let scaling_rewriter n =
+  every_block_rewriter
+    (Minicc.Driver.compile (scaling_source n)).Minicc.Driver.image
+
+(* words the calling domain allocates in the minor heap per point of one
+   rewrite: deterministic, so a plain bound *)
+let test_rewrite_alloc_scaling () =
+  let words_per_point n =
+    let _, _, rw = scaling_rewriter n in
+    let w0 = Gc.minor_words () in
+    ignore (Rewriter.rewrite rw);
+    (Gc.minor_words () -. w0) /. float (Rewriter.stats rw).Rewriter.n_points
+  in
+  let small = words_per_point scaling_n in
+  let large = words_per_point (2 * scaling_n) in
+  if large > 1.3 *. small then
+    Alcotest.failf
+      "rewrite allocates %.0f words/point at %d functions, %.0f at %d (> 1.3x)"
+      large (2 * scaling_n) small scaling_n
+
+(* wall-clock time per point of Verifier.verify: median of 5 interleaved
+   trials at n and 2n.  Linear cost keeps the ratio near 1; cost
+   quadratic in the points tends to 2 per point (4 in total), so the bar
+   sits between the two. *)
+let test_verify_time_scaling () =
+  let session n =
+    let st, cfg, rw = scaling_rewriter n in
+    let img = Rewriter.rewrite rw in
+    let m = Option.get (Rewriter.manifest rw) in
+    (st, cfg, m, img)
+  in
+  let per_point (st, cfg, m, img) =
+    let t0 = Unix.gettimeofday () in
+    let ds = Verifier.verify ~orig:st cfg ~manifest:m ~rewritten:img in
+    let dt = Unix.gettimeofday () -. t0 in
+    checki "scaling corpus verifies" 0 (Diag.n_errors ds);
+    dt /. float (List.length m.Manifest.m_entries)
+  in
+  let small = session scaling_n and large = session (2 * scaling_n) in
+  let trials = List.init 5 (fun _ -> (per_point small, per_point large)) in
+  let median l = List.nth (List.sort compare l) 2 in
+  let s = median (List.map fst trials) and l = median (List.map snd trials) in
+  if l > 1.5 *. s then
+    Alcotest.failf
+      "verify takes %.1f us/point at %d functions, %.1f at %d (> 1.5x)"
+      (l *. 1e6) (2 * scaling_n) (s *. 1e6) scaling_n
+
 let () =
   Alcotest.run "lint"
     [
@@ -386,5 +606,20 @@ let () =
           Alcotest.test_case "bad relocation" `Quick test_seed_bad_relocation;
           Alcotest.test_case "dangling jump-table entry" `Quick
             test_seed_dangling_jump_table;
+        ] );
+      ( "manifest-index",
+        [
+          Alcotest.test_case "single entry" `Quick test_span_single_entry;
+          Alcotest.test_case "last entry" `Quick test_span_last_entry;
+          Alcotest.test_case "out of trampoline order" `Quick
+            test_span_out_of_order;
+          Alcotest.test_case "builtin manifests" `Quick test_span_builtins;
+        ] );
+      ( "scaling",
+        [
+          Alcotest.test_case "rewrite allocation per point" `Quick
+            test_rewrite_alloc_scaling;
+          Alcotest.test_case "verify time per point" `Quick
+            test_verify_time_scaling;
         ] );
     ]
