@@ -7,7 +7,7 @@
 #                tracing, profiling, sim-throughput, parallel-parse and
 #                served paths; writes *.smoke.json only).  Gates hard:
 #                the sim section fails on trace-off/trace-on speedup
-#                bars, any degraded insn under tracing, or an
+#                bars, any interpreter step under tracing, or an
 #                engine-differential divergence; the parse section
 #                fails below a 1.5x largest-corpus speedup over the
 #                sequential reference parser or on any CFG difference

@@ -17,6 +17,12 @@
 let matmul_n = 16
 let matmul_reps = 2
 
+(* A process-wide registry counter (0 until first registered). *)
+let reg_count name =
+  match Dyn_obs.Registry.find name with
+  | Some { Dyn_obs.Registry.r_value = Dyn_obs.Registry.Counter_v v; _ } -> v
+  | _ -> 0
+
 (* ------------------------------------------------------------------ *)
 (* RISC-V side                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -500,11 +506,6 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
         (n, insns, t_ref, t_1, t_n, diffs))
       sizes
   in
-  let reg_count name =
-    match Dyn_obs.Registry.find name with
-    | Some { Dyn_obs.Registry.r_value = Dyn_obs.Registry.Counter_v v; _ } -> v
-    | _ -> 0
-  in
   Printf.printf "   scheduler: %d parse tasks, %d steals, %d rounds\n"
     (reg_count "parse.tasks") (reg_count "parse.steals")
     (reg_count "parse.rounds");
@@ -711,11 +712,13 @@ let lockstep_throughput ?(count = 50_000) () =
    trace-on.  Trace-on measures the fused path: the hook is compiled
    into the cached blocks, so the engine must stay well ahead of the
    interpreter instead of falling back to per-instruction dispatch
-   ([st_degraded] is asserted 0).  Every number is paired with the
-   engine differential (Check_api.Enginediff), which must report zero
-   divergences for the speedup to count; both speedups, the degraded
-   count and the differential are hard gates (the bench fails, and
-   `make bench-smoke` / `make check` with it, on violation). *)
+   (its precise-step counters, [sim.bbcache.singles] and
+   [sim.bbcache.timer_steps], must not move).  Every number is paired
+   with the engine differential (Check_api.Enginediff), which must
+   report zero divergences for the speedup to count; both speedups, the
+   interpreter-step count and the differential are hard gates (the
+   bench fails, and `make bench-smoke` / `make check` with it, on
+   violation). *)
 let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   print_endline "\n== rvsim throughput: superblock engine vs interpreter ==";
   let n = if smoke then 10 else 24 in
@@ -728,7 +731,6 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   (* repeat whole runs until [min_time] host seconds accumulate, so the
      smoke numbers are not pure noise *)
   let measure ~engine ~traced =
-    Rvsim.Bbcache.reset_stats ();
     let rec go insns dt iters =
       if iters >= 1 && dt >= min_time then Int64.to_float insns /. 1e6 /. dt
       else begin
@@ -750,17 +752,24 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
     in
     go 0L 0.0 0
   in
+  (* engine counters are process-wide: read them as deltas *)
   let interp_off = measure ~engine:Rvsim.Machine.Eng_interp ~traced:false in
+  let translated0 = reg_count "sim.bbcache.translated"
+  and chain_hits0 = reg_count "sim.bbcache.chain_hits"
+  and flushes0 = reg_count "sim.icache_flushes" in
   let block_off = measure ~engine:Rvsim.Machine.Eng_block ~traced:false in
-  let st = Rvsim.Bbcache.stats in
-  let translated = st.Rvsim.Bbcache.st_translated
-  and chain_hits = st.Rvsim.Bbcache.st_chain_hits
-  and flushes = Rvsim.Bbcache.flushes () in
+  let translated = reg_count "sim.bbcache.translated" - translated0
+  and chain_hits = reg_count "sim.bbcache.chain_hits" - chain_hits0
+  and flushes = reg_count "sim.icache_flushes" - flushes0 in
   let interp_on = measure ~engine:Rvsim.Machine.Eng_interp ~traced:true in
+  (* precise interpreter steps the block engine takes under tracing: the
+     fused path needs none, so a nonzero count means it fell back *)
+  let interp_steps () =
+    reg_count "sim.bbcache.singles" + reg_count "sim.bbcache.timer_steps"
+  in
+  let steps0 = interp_steps () in
   let block_on = measure ~engine:Rvsim.Machine.Eng_block ~traced:true in
-  (* stats were reset at the start of the trace-on block run: a nonzero
-     degraded count there means the engine abandoned the fused path *)
-  let degraded_on = st.Rvsim.Bbcache.st_degraded in
+  let interp_steps_on = interp_steps () - steps0 in
   let speedup_off = block_off /. interp_off in
   let speedup_on = block_on /. interp_on in
   (* smoke configs run a tiny mutatee where translation overhead eats a
@@ -775,8 +784,8 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
   Printf.printf "   %-12s %11.2fx %11.2fx\n" "speedup" speedup_off speedup_on;
   Printf.printf
     "   block cache: %d blocks translated, %d chain hits, %d flushes, %d \
-     degraded insns (trace-on)\n"
-    translated chain_hits flushes degraded_on;
+     interpreter steps (trace-on)\n"
+    translated chain_hits flushes interp_steps_on;
   let off_ok = speedup_off >= off_bar and on_ok = speedup_on >= on_bar in
   Printf.printf "   trace-off speedup >= %.1fx: %s\n" off_bar
     (if off_ok then "ok" else "VIOLATED");
@@ -804,24 +813,25 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
     \  \"blocks_translated\": %d,\n\
     \  \"chain_hits\": %d,\n\
     \  \"flushes\": %d,\n\
-    \  \"st_degraded_trace_on\": %d,\n\
+    \  \"interp_steps_trace_on\": %d,\n\
     \  \"engine_diff_runs\": %d,\n\
     \  \"engine_diff_divergences\": %d,\n\
     \  \"speedup_3x_ok\": %b,\n\
     \  \"speedup_trace_on_ok\": %b\n\
      }\n"
     n n reps interp_off block_off interp_on block_on speedup_off speedup_on
-    translated chain_hits flushes degraded_on diff.Check_api.Enginediff.s_checked
+    translated chain_hits flushes interp_steps_on
+    diff.Check_api.Enginediff.s_checked
     diff.Check_api.Enginediff.s_diverged off_ok on_ok;
   close_out oc;
   Printf.printf "   wrote %s\n" json;
   if diff.Check_api.Enginediff.s_diverged > 0 then
     failwith "sim-throughput gate: engine differential diverged";
-  if degraded_on <> 0 then
+  if interp_steps_on <> 0 then
     Printf.ksprintf failwith
-      "sim-throughput gate: %d degraded insns under tracing (fused path \
+      "sim-throughput gate: %d interpreter steps under tracing (fused path \
        abandoned)"
-      degraded_on;
+      interp_steps_on;
   if not off_ok then
     Printf.ksprintf failwith
       "sim-throughput gate: trace-off speedup %.2fx below the %.1fx bar"

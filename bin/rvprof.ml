@@ -49,12 +49,8 @@ let config_of period cost max_frames events =
     events;
   }
 
-let run_profile stats trace_out mutatee period cost max_frames events =
-  if stats then Dyn_util.Stats.enable ();
-  if trace_out <> None then begin
-    Dyn_util.Stats.enable ();
-    Dyn_obs.Trace.set_enabled true
-  end;
+let run_profile trace_out mutatee period cost max_frames events =
+  if trace_out <> None then Dyn_obs.Trace.set_enabled true;
   let binary = load_binary mutatee in
   let config = config_of period cost max_frames events in
   let r = Perf_api.Profiler.profile ~config binary in
@@ -65,10 +61,8 @@ let run_profile stats trace_out mutatee period cost max_frames events =
   (binary, config, r)
 
 let finish stats trace_out =
-  if stats then begin
-    Rvsim.Bbcache.note_stats ();
-    Dyn_util.Stats.report ()
-  end;
+  if stats then
+    Format.printf "%a@?" Dyn_obs.Registry.pp_rows (Dyn_obs.Registry.snapshot ());
   match trace_out with
   | None -> ()
   | Some path ->
@@ -80,7 +74,7 @@ let finish stats trace_out =
 let profile_cmd_run mutatee period cost max_frames events top validate stats
     trace_out =
   let binary, config, r =
-    run_profile stats trace_out mutatee period cost max_frames events
+    run_profile trace_out mutatee period cost max_frames events
   in
   Format.printf "@.%a" (Perf_api.Report.pp_flat ~n:top) r;
   if validate then begin
@@ -96,7 +90,7 @@ let profile_cmd_run mutatee period cost max_frames events top validate stats
 let report_cmd_run mutatee period cost max_frames events min_samples stats
     trace_out =
   let _, _, r =
-    run_profile stats trace_out mutatee period cost max_frames events
+    run_profile trace_out mutatee period cost max_frames events
   in
   Format.printf "@.== calling-context tree ==@.%a"
     (Perf_api.Report.pp_cct ~min_samples) r;
@@ -106,7 +100,7 @@ let report_cmd_run mutatee period cost max_frames events min_samples stats
 
 let flame_cmd_run mutatee period cost max_frames events out stats trace_out =
   let _, _, r =
-    run_profile stats trace_out mutatee period cost max_frames events
+    run_profile trace_out mutatee period cost max_frames events
   in
   let text = Perf_api.Report.folded_string r in
   (match out with

@@ -1,7 +1,7 @@
 (* rvq: command-line client for rvserved.
 
      rvq ping|flush|shutdown [--socket PATH]
-     rvq stats [--json]            # cache/pool stats, table by default
+     rvq stats [--json]            # this daemon's cache/pool facts
      rvq metrics [--json] [--watch SECS]   # live registry scrape
      rvq job <parse|lint|rewrite|verify|profile|trace> <mutatee.elf> \
         [--entries f]... [--blocks f]... [--exits f]... \
@@ -67,36 +67,6 @@ let control socket which =
 
 (* --- human rendering ------------------------------------------------------ *)
 
-let fmt_ns ns =
-  if ns < 1_000 then Printf.sprintf "%dns" ns
-  else if ns < 1_000_000 then Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
-  else if ns < 1_000_000_000 then
-    Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
-  else Printf.sprintf "%.2fs" (float_of_int ns /. 1e9)
-
-(* Approximate quantile from the log2 buckets: the upper bound of the
-   first bucket where the cumulative count crosses q (mirrors
-   Dyn_obs.Registry.approx_quantile_ns server-side). *)
-let quantile_ns buckets count q =
-  if count = 0 then 0
-  else begin
-    let target =
-      max 1 (int_of_float (ceil (q *. float_of_int count)))
-    in
-    let acc = ref 0 and ans = ref max_int in
-    Array.iteri
-      (fun i n ->
-        if !ans = max_int then begin
-          acc := !acc + n;
-          if !acc >= target then
-            ans := (if i >= 31 then max_int else (1 lsl (i + 1)) - 1)
-        end)
-      buckets;
-    !ans
-  end
-
-let fmt_q ns = if ns = max_int then ">1s" else fmt_ns ns
-
 (* `rvq stats`: one row per scalar, nested objects as sections *)
 let print_stats_table payload =
   let rec rows indent j =
@@ -118,41 +88,10 @@ let print_stats_table payload =
   in
   rows "" (J.of_string payload)
 
-(* `rvq metrics`: counters and gauges as name/value rows, histograms
-   with count, mean and approximate p50/p99 *)
+(* `rvq metrics`: the registry's own table of the rows that moved *)
 let print_metrics_table payload =
-  let j = J.of_string payload in
-  let metrics = J.to_list (J.member "metrics" j) in
-  let scalar_rows, hist_rows =
-    List.partition
-      (fun m -> J.to_str (J.member "type" m) <> "histogram")
-      metrics
-  in
-  List.iter
-    (fun m ->
-      Printf.printf "%-40s %12Ld  %s\n"
-        (J.to_str (J.member "name" m))
-        (J.to_int64 (J.member "value" m))
-        (J.to_str (J.member "type" m)))
-    scalar_rows;
-  if hist_rows <> [] then begin
-    Printf.printf "%-40s %12s %10s %10s %10s\n" "-- histogram --" "count"
-      "mean" "~p50" "~p99";
-    List.iter
-      (fun m ->
-        let count = J.to_int (J.member "count" m) in
-        let sum_ns = J.to_int (J.member "sum_ns" m) in
-        let buckets =
-          Array.of_list (List.map J.to_int (J.to_list (J.member "buckets" m)))
-        in
-        let mean = if count = 0 then 0 else sum_ns / count in
-        Printf.printf "%-40s %12d %10s %10s %10s\n"
-          (J.to_str (J.member "name" m))
-          count (fmt_ns mean)
-          (fmt_q (quantile_ns buckets count 0.5))
-          (fmt_q (quantile_ns buckets count 0.99)))
-      hist_rows
-  end
+  Format.printf "%a@?" Dyn_obs.Registry.pp_rows
+    (Dyn_obs.Registry.of_json (J.of_string payload))
 
 let stats socket json =
   let r = request socket W.Stats in

@@ -9,12 +9,7 @@ open Cmdliner
 
 let rewrite input output entries blocks exits verbose stats trace_out
     manifest_out domains =
-  if stats then Dyn_util.Stats.enable ();
-  if trace_out <> None then begin
-    (* span tracing rides on the Stats spans, so enable both *)
-    Dyn_util.Stats.enable ();
-    Dyn_obs.Trace.set_enabled true
-  end;
+  if trace_out <> None then Dyn_obs.Trace.set_enabled true;
   let binary = Core.open_file ~domains input in
   let m = Core.create_mutator binary in
   let n = ref 0 in
@@ -58,10 +53,8 @@ let rewrite input output entries blocks exits verbose stats trace_out
         Printf.printf "  springboard 0x%Lx: %s\n" addr
           (Patch_api.Rewriter.strategy_name strat))
       s.Patch_api.Rewriter.strategies;
-  if stats then begin
-    Rvsim.Bbcache.note_stats ();
-    Dyn_util.Stats.report ()
-  end;
+  if stats then
+    Format.printf "%a@?" Dyn_obs.Registry.pp_rows (Dyn_obs.Registry.snapshot ());
   match trace_out with
   | None -> ()
   | Some path ->

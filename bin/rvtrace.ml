@@ -37,11 +37,7 @@ let known_reports = [ "coverage"; "edges"; "calltree"; "mem"; "all" ]
 
 let run mutatee funcs no_blocks calls returns mem capacity reports out verbose
     stats trace_out =
-  if stats then Dyn_util.Stats.enable ();
-  if trace_out <> None then begin
-    Dyn_util.Stats.enable ();
-    Dyn_obs.Trace.set_enabled true
-  end;
+  if trace_out <> None then Dyn_obs.Trace.set_enabled true;
   (match List.filter (fun r -> not (List.mem r known_reports)) reports with
   | [] -> ()
   | bad ->
@@ -112,10 +108,8 @@ let run mutatee funcs no_blocks calls returns mem capacity reports out verbose
       Format.printf "@.raw trace written to %s@." path);
   if verbose then
     List.iter (fun r -> Format.printf "%a@." Trace_api.Record.pp r) records;
-  if stats then begin
-    Rvsim.Bbcache.note_stats ();
-    Dyn_util.Stats.report ()
-  end;
+  if stats then
+    Format.printf "%a@?" Dyn_obs.Registry.pp_rows (Dyn_obs.Registry.snapshot ());
   match trace_out with
   | None -> ()
   | Some path ->

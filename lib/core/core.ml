@@ -20,12 +20,17 @@ open Parse_api
 
 type binary = { symtab : Symtab.t; cfg : Cfg.t }
 
+let h_symtab = Dyn_obs.Registry.histogram "parse.symtab_ns"
+let h_cfg = Dyn_obs.Registry.histogram "parse.cfg_ns"
+
 exception Not_found_error of string
 
 let open_image ?gap_parsing ?domains (img : Elfkit.Types.image) : binary =
-  let symtab = Dyn_util.Stats.span "parse:symtab" (fun () -> Symtab.of_image img) in
+  let symtab =
+    Dyn_obs.Trace.timed h_symtab "parse:symtab" (fun () -> Symtab.of_image img)
+  in
   let cfg =
-    Dyn_util.Stats.span "parse:cfg" (fun () ->
+    Dyn_obs.Trace.timed h_cfg "parse:cfg" (fun () ->
         Parser.parse ?gap_parsing ?domains symtab)
   in
   { symtab; cfg }

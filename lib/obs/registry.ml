@@ -26,8 +26,8 @@
    live so paired add/sub bookkeeping (queue depth) cannot go lopsided
    across a toggle.
 
-   This library sits *below* Dyn_util (Dyn_util.Stats is a compat shim
-   over it), so it depends on nothing but unix. *)
+   Rows leave the process in one encoding ({!to_json}, decoded by
+   {!of_json}) and are read by people in one table ({!pp_rows}). *)
 
 let n_shards = 16
 let shard_mask = n_shards - 1
@@ -210,8 +210,7 @@ let approx_quantile_ns (hv : hview) (q : float) : int =
     if !b >= n_buckets - 1 then max_int else (1 lsl (!b + 1)) - 1
   end
 
-(* Zero every cell; registrations (and handles) survive.  Used by tests
-   and the Stats compat shim's [reset]. *)
+(* Zero every cell; registrations (and handles) survive. *)
 let reset () =
   SM.iter
     (fun _ m ->
@@ -222,3 +221,93 @@ let reset () =
           Array.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.h_buckets;
           Array.iter (fun cell -> Atomic.set cell 0) h.h_sums)
     (Atomic.get metrics)
+
+(* --- the row codec: the metrics wire payload ------------------------------ *)
+
+module J = Dyn_util.Jsonw
+
+(* Fixed key order per row, rows in the given (snapshot: name) order —
+   a deterministic scrape clients can diff. *)
+let row_json r =
+  let i n = J.Int (Int64.of_int n) in
+  let head kind = [ ("name", J.String r.r_name); ("type", J.String kind) ] in
+  match r.r_value with
+  | Counter_v v -> J.Obj (head "counter" @ [ ("value", i v) ])
+  | Gauge_v v -> J.Obj (head "gauge" @ [ ("value", i v) ])
+  | Histogram_v hv ->
+      J.Obj
+        (head "histogram"
+        @ [
+            ("count", i hv.hv_count);
+            ("sum_ns", i hv.hv_sum_ns);
+            ("buckets", J.List (Array.to_list (Array.map i hv.hv_buckets)));
+          ])
+
+let to_json rows = J.Obj [ ("metrics", J.List (List.map row_json rows)) ]
+
+let row_of_json m =
+  let int k = J.to_int (J.member k m) in
+  let value =
+    match J.to_str (J.member "type" m) with
+    | "counter" -> Counter_v (int "value")
+    | "gauge" -> Gauge_v (int "value")
+    | "histogram" ->
+        Histogram_v
+          {
+            hv_count = int "count";
+            hv_sum_ns = int "sum_ns";
+            hv_buckets =
+              Array.of_list
+                (List.map J.to_int (J.to_list (J.member "buckets" m)));
+          }
+    | kind -> raise (J.Parse_error ("unknown metric type " ^ kind))
+  in
+  { r_name = J.to_str (J.member "name" m); r_value = value }
+
+let of_json j = List.map row_of_json (J.to_list (J.member "metrics" j))
+
+(* --- the row renderer ------------------------------------------------------ *)
+
+let fmt_ns ns =
+  if ns = max_int then ">1s"
+  else if ns < 1_000 then Printf.sprintf "%dns" ns
+  else if ns < 1_000_000 then Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
+  else if ns < 1_000_000_000 then
+    Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
+  else Printf.sprintf "%.2fs" (float_of_int ns /. 1e9)
+
+let moved r =
+  match r.r_value with
+  | Counter_v v | Gauge_v v -> v <> 0
+  | Histogram_v hv -> hv.hv_count <> 0
+
+(* Counters and gauges as name/value rows, then histograms with count,
+   total, mean and approximate p50/p99.  Rows that never moved are left
+   out: a tool's --stats shows only what its run touched. *)
+let pp_rows fmt rows =
+  let rows = List.filter moved rows in
+  List.iter
+    (fun r ->
+      match r.r_value with
+      | Counter_v v -> Format.fprintf fmt "%-40s %12d  counter@\n" r.r_name v
+      | Gauge_v v -> Format.fprintf fmt "%-40s %12d  gauge@\n" r.r_name v
+      | Histogram_v _ -> ())
+    rows;
+  let hists =
+    List.filter_map
+      (fun r ->
+        match r.r_value with Histogram_v hv -> Some (r.r_name, hv) | _ -> None)
+      rows
+  in
+  if hists <> [] then begin
+    Format.fprintf fmt "%-40s %12s %10s %10s %10s %10s@\n" "-- histogram --"
+      "count" "total" "mean" "~p50" "~p99";
+    List.iter
+      (fun (name, hv) ->
+        Format.fprintf fmt "%-40s %12d %10s %10s %10s %10s@\n" name hv.hv_count
+          (fmt_ns hv.hv_sum_ns)
+          (fmt_ns (hv.hv_sum_ns / hv.hv_count))
+          (fmt_ns (approx_quantile_ns hv 0.5))
+          (fmt_ns (approx_quantile_ns hv 0.99)))
+      hists
+  end

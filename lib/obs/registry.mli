@@ -56,3 +56,15 @@ val reset : unit -> unit
 val counter_value : counter -> int
 val gauge_value : gauge -> int
 val histogram_view : histogram -> hview
+
+(** The metrics wire payload: [{"metrics":[row...]}], rows in the given
+    order, fixed key order per row. *)
+val to_json : row list -> Dyn_util.Jsonw.t
+
+(** Inverse of {!to_json}.
+    @raise Dyn_util.Jsonw.Parse_error on a malformed payload. *)
+val of_json : Dyn_util.Jsonw.t -> row list
+
+(** A table of the rows that moved (value or count not 0): counters and
+    gauges first, then histograms with count, total, mean, ~p50, ~p99. *)
+val pp_rows : Format.formatter -> row list -> unit

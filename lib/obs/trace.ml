@@ -124,25 +124,35 @@ let complete ?(args = []) ?parent:par ?tid ~t0_ns ~t1_ns name =
         ev_args = args;
       }
 
-let with_span ?(args = []) name f =
-  if not (Atomic.get enabled) then f ()
-  else begin
-    let par = parent () in
-    push name;
-    let t0 = now_ns () in
-    let finish () =
-      let t1 = now_ns () in
+(* Run [f] as a span named [name], then hand its duration to
+   [observe] — also when [f] raises.  The span is recorded (and nests)
+   only while tracing is on. *)
+let span_with ~args ~observe name f =
+  let on = Atomic.get enabled in
+  let par = if on then parent () else "" in
+  if on then push name;
+  let t0 = now_ns () in
+  let finish () =
+    let t1 = now_ns () in
+    observe (t1 - t0);
+    if on then begin
       pop ();
       complete ~args ~parent:par ~t0_ns:t0 ~t1_ns:t1 name
-    in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception exn ->
-        finish ();
-        raise exn
-  end
+    end
+  in
+  match f () with
+  | v ->
+      finish ();
+      v
+  | exception exn ->
+      finish ();
+      raise exn
+
+let with_span ?(args = []) name f =
+  if not (Atomic.get enabled) then f ()
+  else span_with ~args ~observe:ignore name f
+
+let timed h name f = span_with ~args:[] ~observe:(Registry.observe h) name f
 
 let log ?(level = Info) ?(fields = []) msg =
   if Atomic.get enabled then
@@ -159,45 +169,36 @@ let log ?(level = Info) ?(fields = []) msg =
 
 (* --- export ---------------------------------------------------------------- *)
 
-(* Local JSON string escaping: this library sits below Dyn_util so it
-   cannot use Jsonw; the escapes match it byte for byte. *)
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module J = Dyn_util.Jsonw
 
-let add_kv buf k v =
-  escape_to buf k;
-  Buffer.add_char buf ':';
-  v buf
-
-let str s buf = escape_to buf s
-let int i buf = Buffer.add_string buf (string_of_int i)
-
-let add_args buf args =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_kv buf k (str v))
-    args;
-  Buffer.add_char buf '}'
+let int i = J.Int (Int64.of_int i)
+let strs kvs = List.map (fun (k, v) -> (k, J.String v)) kvs
 
 (* Chrome trace-event JSON (the JSON-object format Perfetto and
    chrome://tracing load).  Timestamps are integer microseconds so the
    file stays parseable by integer-only readers (Jsonw); sub-us spans
-   round up to 1 us rather than vanishing. *)
+   round up to 1 us rather than vanishing.  Events are written one at a
+   time, so a large ring never exists twice as a JSON tree. *)
+let chrome_event ev =
+  let phase =
+    if ev.ev_level = "span" then
+      [
+        ("ph", J.String "X");
+        ("ts", int (ev.ev_ts_ns / 1000));
+        ("dur", int (max 1 ((ev.ev_dur_ns + 999) / 1000)));
+      ]
+    else
+      [ ("ph", J.String "i"); ("ts", int (ev.ev_ts_ns / 1000)); ("s", J.String "t") ]
+  in
+  let args =
+    (if ev.ev_parent = "" then [] else [ ("parent", ev.ev_parent) ])
+    @ (if ev.ev_level = "span" then [] else [ ("level", ev.ev_level) ])
+    @ ev.ev_args
+  in
+  J.Obj
+    ((("name", J.String ev.ev_name) :: phase)
+    @ [ ("pid", int 0); ("tid", int ev.ev_tid); ("args", J.Obj (strs args)) ])
+
 let chrome_json () : string =
   let evs = events () in
   let buf = Buffer.create (256 + (List.length evs * 128)) in
@@ -205,35 +206,7 @@ let chrome_json () : string =
   List.iteri
     (fun i ev ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '{';
-      add_kv buf "name" (str ev.ev_name);
-      Buffer.add_char buf ',';
-      if ev.ev_level = "span" then begin
-        add_kv buf "ph" (str "X");
-        Buffer.add_char buf ',';
-        add_kv buf "ts" (int (ev.ev_ts_ns / 1000));
-        Buffer.add_char buf ',';
-        add_kv buf "dur" (int (max 1 ((ev.ev_dur_ns + 999) / 1000)))
-      end
-      else begin
-        add_kv buf "ph" (str "i");
-        Buffer.add_char buf ',';
-        add_kv buf "ts" (int (ev.ev_ts_ns / 1000));
-        Buffer.add_char buf ',';
-        add_kv buf "s" (str "t")
-      end;
-      Buffer.add_char buf ',';
-      add_kv buf "pid" (int 0);
-      Buffer.add_char buf ',';
-      add_kv buf "tid" (int ev.ev_tid);
-      Buffer.add_char buf ',';
-      let args =
-        (if ev.ev_parent = "" then [] else [ ("parent", ev.ev_parent) ])
-        @ (if ev.ev_level = "span" then [] else [ ("level", ev.ev_level) ])
-        @ ev.ev_args
-      in
-      add_kv buf "args" (fun b -> add_args b args);
-      Buffer.add_char buf '}')
+      J.write_to buf (chrome_event ev))
     evs;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}";
   Buffer.contents buf
@@ -245,24 +218,18 @@ let ndjson () : string =
   let buf = Buffer.create (List.length evs * 128) in
   List.iter
     (fun ev ->
-      Buffer.add_char buf '{';
-      add_kv buf "ts_ns" (int ev.ev_ts_ns);
-      Buffer.add_char buf ',';
-      add_kv buf "level" (str ev.ev_level);
-      Buffer.add_char buf ',';
-      add_kv buf "name" (str ev.ev_name);
-      Buffer.add_char buf ',';
-      add_kv buf "dur_ns" (int ev.ev_dur_ns);
-      Buffer.add_char buf ',';
-      add_kv buf "tid" (int ev.ev_tid);
-      Buffer.add_char buf ',';
-      add_kv buf "parent" (str ev.ev_parent);
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_char buf ',';
-          add_kv buf k (str v))
-        ev.ev_args;
-      Buffer.add_string buf "}\n")
+      J.write_to buf
+        (J.Obj
+           ([
+              ("ts_ns", int ev.ev_ts_ns);
+              ("level", J.String ev.ev_level);
+              ("name", J.String ev.ev_name);
+              ("dur_ns", int ev.ev_dur_ns);
+              ("tid", int ev.ev_tid);
+              ("parent", J.String ev.ev_parent);
+            ]
+           @ strs ev.ev_args));
+      Buffer.add_char buf '\n')
     evs;
   Buffer.contents buf
 

@@ -49,11 +49,14 @@ val complete :
     exception-transparent; just runs [f] when tracing is off. *)
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
+(** Time [f] into the histogram [h], always, and record it as the span
+    [name] while tracing is on; exception-transparent (a call that
+    raises is still observed).  Create [h] once, at module
+    initialization. *)
+val timed : Registry.histogram -> string -> (unit -> 'a) -> 'a
+
 (** Leveled instant event ([Info] by default). *)
 val log : ?level:level -> ?fields:(string * string) list -> string -> unit
-
-(** Current span stack top, [""] at root (used by the Stats shim). *)
-val parent : unit -> string
 
 val chrome_json : unit -> string
 val ndjson : unit -> string

@@ -17,6 +17,15 @@ open Dataflow_api
 let src = Logs.Src.create "patch_api"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+module Obs = Dyn_obs.Registry
+module Trace = Dyn_obs.Trace
+
+let h_liveness = Obs.histogram "analyze.liveness_ns"
+let h_plan = Obs.histogram "codegen.plan_ns"
+let h_apply = Obs.histogram "rewrite.apply_ns"
+let h_verify = Obs.histogram "rewrite.verify_ns"
+let m_points = Obs.counter "rewrite.points"
+let m_springboards = Obs.counter "rewrite.springboards"
 
 exception Patch_error of string
 
@@ -295,7 +304,7 @@ let dead_at_point t cache (b : Cfg.block) (addr : int64) : Reg.t list =
         | Some lv -> lv
         | None ->
             let lv =
-              Dyn_util.Stats.span "analyze:liveness" (fun () ->
+              Trace.timed h_liveness "analyze:liveness" (fun () ->
                   Liveness.analyze t.cfg f)
             in
             Hashtbl.replace cache f.Cfg.f_entry lv;
@@ -543,16 +552,17 @@ let verify_hook :
   ref None
 
 let rewrite (t : t) : Elfkit.Types.image =
-  let pl = Dyn_util.Stats.span "codegen:plan" (fun () -> plan t) in
-  let img = Dyn_util.Stats.span "rewrite:apply" (fun () -> apply_to_image t pl) in
+  let pl = Trace.timed h_plan "codegen:plan" (fun () -> plan t) in
+  let img =
+    Trace.timed h_apply "rewrite:apply" (fun () -> apply_to_image t pl)
+  in
   (match (!verify_hook, t.last_manifest) with
   | Some hook, Some m ->
-      Dyn_util.Stats.span "rewrite:verify" (fun () ->
+      Trace.timed h_verify "rewrite:verify" (fun () ->
           hook t.symtab t.cfg ~manifest:m ~rewritten:img)
   | _ -> ());
-  Dyn_util.Stats.incr ~by:t.stats.n_points "rewrite:points";
-  Dyn_util.Stats.incr ~by:(List.length t.stats.strategies)
-    "rewrite:springboards";
+  Obs.incr ~by:t.stats.n_points m_points;
+  Obs.incr ~by:(List.length t.stats.strategies) m_springboards;
   img
 
 let stats t = t.stats

@@ -57,109 +57,32 @@ let log t fmt =
     Printf.ksprintf (fun s -> Printf.eprintf "rvserved: %s\n%!" s) fmt
   else Printf.ksprintf ignore fmt
 
-(* The metrics wire action: every registry row, names sorted (the
-   registry snapshot is Map-ordered), fixed key order per row — a
-   deterministic scrape clients can diff.  Level-style server facts
-   (uptime, pool size) are refreshed into gauges at scrape time. *)
-let metrics_payload t =
-  Obs.set g_uptime
-    (int_of_float ((Unix.gettimeofday () -. t.started) *. 1e6));
-  Obs.set g_domains (Pool.size t.pool);
-  let i n = J.Int (Int64.of_int n) in
-  let row (r : Obs.row) =
-    match r.Obs.r_value with
-    | Obs.Counter_v v ->
-        J.Obj
-          [
-            ("name", J.String r.Obs.r_name);
-            ("type", J.String "counter");
-            ("value", i v);
-          ]
-    | Obs.Gauge_v v ->
-        J.Obj
-          [
-            ("name", J.String r.Obs.r_name);
-            ("type", J.String "gauge");
-            ("value", i v);
-          ]
-    | Obs.Histogram_v hv ->
-        J.Obj
-          [
-            ("name", J.String r.Obs.r_name);
-            ("type", J.String "histogram");
-            ("count", i hv.Obs.hv_count);
-            ("sum_ns", i hv.Obs.hv_sum_ns);
-            ("buckets", J.List (Array.to_list (Array.map i hv.Obs.hv_buckets)));
-          ]
-  in
-  J.to_string
-    (J.Obj [ ("metrics", J.List (List.map row (Obs.snapshot ()))) ])
+let uptime_us t = int_of_float ((Unix.gettimeofday () -. t.started) *. 1e6)
 
+(* The metrics wire action: every process-wide registry row, encoded by
+   the registry's own codec.  Level-style server facts (uptime, pool
+   size) are refreshed into gauges at scrape time. *)
+let metrics_payload t =
+  Obs.set g_uptime (uptime_us t);
+  Obs.set g_domains (Pool.size t.pool);
+  J.to_string (Obs.to_json (Obs.snapshot ()))
+
+(* The stats wire action: facts about this daemon instance only — its
+   artifact cache, stat memo, pool and uptime.  Process-wide counters
+   (parse, verify, superblock engine) are the metrics action's rows. *)
 let stats_payload t =
   let stat_hits, stat_misses = Statcache.counts t.stat in
-  (* the process-wide superblock-engine counters: profile/trace jobs run
-     mutatees through the block engine, so a nonzero [degraded] here
-     means some run abandoned the fused observability path — it must
-     stay 0 *)
-  let bb = Rvsim.Bbcache.stats in
-  let bi v = J.Int (Int64.of_int v) in
-  let bbcache =
-    J.Obj
-      [
-        ("translated", bi bb.Rvsim.Bbcache.st_translated);
-        ("executed", bi bb.Rvsim.Bbcache.st_blocks);
-        ("chain_hits", bi bb.Rvsim.Bbcache.st_chain_hits);
-        ("retranslated", bi bb.Rvsim.Bbcache.st_retrans);
-        ("degraded", bi bb.Rvsim.Bbcache.st_degraded);
-        ("timer_steps", bi bb.Rvsim.Bbcache.st_timer_steps);
-        ("singles", bi bb.Rvsim.Bbcache.st_singles);
-        ("evicted", bi bb.Rvsim.Bbcache.st_evicted);
-        ("flushes", bi (Rvsim.Bbcache.flushes ()));
-      ]
-  in
-  (* parallel-parser work counters from the metrics registry: task and
-     steal totals across every cold parse this process has run.  The
-     registry rows are absent until the first parse, so default to 0. *)
-  let reg_count name =
-    match Obs.find name with
-    | Some { Obs.r_value = Obs.Counter_v v; _ } -> v
-    | Some { Obs.r_value = Obs.Histogram_v hv; _ } -> hv.Obs.hv_count
-    | _ -> 0
-  in
-  let parse =
-    J.Obj
-      [
-        ("domains", bi t.cfg.sc_parse_domains);
-        ("tasks", bi (reg_count "parse.tasks"));
-        ("steals", bi (reg_count "parse.steals"));
-        ("rounds", bi (reg_count "parse.rounds"));
-        ("merges", bi (reg_count "parse.merge_ns"));
-      ]
-  in
-  (* symbolic-verifier site counters (verify jobs, rvlint --symbolic in
-     this process); rows absent until the first verification. *)
-  let verify =
-    J.Obj
-      [
-        ("sites_ok", bi (reg_count "verify.sites_ok"));
-        ("sites_failed", bi (reg_count "verify.sites_failed"));
-        ("sites_timeout", bi (reg_count "verify.sites_timeout"));
-      ]
-  in
+  let i n = J.Int (Int64.of_int n) in
   J.to_string
     (J.Obj
        [
          ("cache", Cache.stats_json t.cache);
-         ("bbcache", bbcache);
-         ("parse", parse);
-         ("verify", verify);
-         ("stat_hits", J.Int (Int64.of_int stat_hits));
-         ("stat_misses", J.Int (Int64.of_int stat_misses));
-         ("domains", J.Int (Int64.of_int (Pool.size t.pool)));
-         ("jobs", J.Int (Int64.of_int (Atomic.get t.jobs_done)));
-         ( "uptime_us",
-           J.Int (Int64.of_float ((Unix.gettimeofday () -. t.started) *. 1e6))
-         );
+         ("stat_hits", i stat_hits);
+         ("stat_misses", i stat_misses);
+         ("domains", i (Pool.size t.pool));
+         ("parse_domains", i t.cfg.sc_parse_domains);
+         ("jobs", i (Atomic.get t.jobs_done));
+         ("uptime_us", i (uptime_us t));
        ])
 
 let stop t =
@@ -191,12 +114,10 @@ let handle_conn t fd =
        (* the write span sits on the sender's track: a worker domain
           for job responses (nested under its job span), the reader
           thread for control responses *)
-       let write () =
-         output_string oc (Wire.encode_response resp);
-         output_char oc '\n';
-         flush oc
-       in
-       if Trace.is_enabled () then Trace.with_span "write" write else write ()
+       Trace.with_span "write" (fun () ->
+           output_string oc (Wire.encode_response resp);
+           output_char oc '\n';
+           flush oc)
      with Sys_error _ | Unix.Unix_error _ -> ());
     Mutex.unlock wmu
   in

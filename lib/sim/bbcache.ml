@@ -55,59 +55,20 @@
 
 open Riscv
 
-type stats = {
-  mutable st_translated : int; (* blocks translated *)
-  mutable st_blocks : int; (* block executions (fast path) *)
-  mutable st_chain_hits : int; (* dispatches resolved through a chain *)
-  mutable st_degraded : int; (* legacy degraded-mode steps; 0 since fusion *)
-  mutable st_retrans : int; (* in-place observability-key retranslations *)
-  mutable st_timer_steps : int; (* precise steps across a timer deadline *)
-  mutable st_singles : int; (* precise steps for budget/uncached pcs *)
-  mutable st_evicted : int; (* blocks dropped by the residency bound *)
-}
+(* Engine counters, in the process-wide registry so every domain's runs
+   add up exactly.  Translations, retranslations and evictions are rare
+   next to the work around them and count directly; the per-block and
+   per-step counts are plain local increments in [run], added here once
+   when it returns. *)
+module Obs = Dyn_obs.Registry
 
-let stats =
-  { st_translated = 0; st_blocks = 0; st_chain_hits = 0; st_degraded = 0;
-    st_retrans = 0; st_timer_steps = 0; st_singles = 0; st_evicted = 0 }
-
-(* [Machine.flush_counter] is shared history for the whole stack (the
-   trace ring, ProcControl patches and tests all flush); resetting our
-   stats must not erase it, so we snapshot a baseline instead. *)
-let flush_base = ref 0
-
-let reset_stats () =
-  stats.st_translated <- 0;
-  stats.st_blocks <- 0;
-  stats.st_chain_hits <- 0;
-  stats.st_degraded <- 0;
-  stats.st_retrans <- 0;
-  stats.st_timer_steps <- 0;
-  stats.st_singles <- 0;
-  stats.st_evicted <- 0;
-  flush_base := !Machine.flush_counter
-
-let flushes () = !Machine.flush_counter - !flush_base
-
-(* Push the counters into the toolkit's self-telemetry (shown by the
-   tools' --stats flag; no-op unless Stats.enable was called). *)
-let note_stats () =
-  let open Dyn_util in
-  Stats.incr ~by:stats.st_translated "bbcache blocks translated";
-  Stats.incr ~by:stats.st_blocks "bbcache block executions";
-  Stats.incr ~by:stats.st_chain_hits "bbcache chain hits";
-  Stats.incr ~by:(flushes ()) "bbcache icache flushes";
-  Stats.incr ~by:stats.st_degraded "bbcache degraded insns";
-  Stats.incr ~by:stats.st_retrans "bbcache obs retranslations";
-  Stats.incr ~by:stats.st_timer_steps "bbcache timer-boundary insns";
-  Stats.incr ~by:stats.st_singles "bbcache single-stepped insns";
-  Stats.incr ~by:stats.st_evicted "bbcache blocks evicted"
-
-let pp_stats fmt () =
-  Format.fprintf fmt
-    "blocks translated %d, executed %d (chain hits %d), flushes %d, evicted %d, \
-     obs retranslations %d, timer-boundary insns %d, degraded insns %d"
-    stats.st_translated stats.st_blocks stats.st_chain_hits (flushes ())
-    stats.st_evicted stats.st_retrans stats.st_timer_steps stats.st_degraded
+let m_translated = Obs.counter "sim.bbcache.translated"
+let m_blocks = Obs.counter "sim.bbcache.blocks"
+let m_chain_hits = Obs.counter "sim.bbcache.chain_hits"
+let m_retranslated = Obs.counter "sim.bbcache.retranslated"
+let m_timer_steps = Obs.counter "sim.bbcache.timer_steps"
+let m_singles = Obs.counter "sim.bbcache.singles"
+let m_evicted = Obs.counter "sim.bbcache.evicted"
 
 (* --- translation ---------------------------------------------------------- *)
 
@@ -394,7 +355,7 @@ let translate (t : Machine.t) (r : Machine.region) (pc0 : int64) : Machine.block
        chaining it would thrash the two slots *)
     match term with Some i -> i.Insn.op <> Op.JALR | None -> true
   in
-  stats.st_translated <- stats.st_translated + 1;
+  Obs.incr m_translated;
   {
     Machine.bk_pc = pc0;
     bk_term_pc = term_pc;
@@ -444,7 +405,7 @@ let enforce_cap (t : Machine.t) =
         | Some _ ->
             r.Machine.bslots.(slot) <- None;
             t.Machine.bb_live <- t.Machine.bb_live - 1;
-            stats.st_evicted <- stats.st_evicted + 1;
+            Obs.incr m_evicted;
             evicted := true
       done
     done
@@ -475,7 +436,7 @@ let lookup (t : Machine.t) pc : Machine.block option =
                counted in bb_live — only the translation is replaced. *)
             let b = translate t r pc in
             r.Machine.bslots.(slot) <- Some b;
-            stats.st_retrans <- stats.st_retrans + 1;
+            Obs.incr m_retranslated;
             Some b
         | None ->
             let b = translate t r pc in
@@ -553,6 +514,8 @@ let exec_block (t : Machine.t) (b : Machine.block) =
       Machine.retire t i ~taken
 
 let run ?(max_steps = max_int) (t : Machine.t) : Machine.stop =
+  let blocks = ref 0 and chain_hits = ref 0 in
+  let timer_steps = ref 0 and singles = ref 0 in
   let rec go steps (prev : Machine.block option) =
     if steps >= max_steps then Machine.Limit
     else
@@ -562,7 +525,7 @@ let run ?(max_steps = max_int) (t : Machine.t) : Machine.stop =
         | Some p -> (
             match chain_get t p t.Machine.icache_gen pc with
             | Some _ as hit ->
-                stats.st_chain_hits <- stats.st_chain_hits + 1;
+                incr chain_hits;
                 hit
             | None ->
                 let b = lookup t pc in
@@ -575,26 +538,32 @@ let run ?(max_steps = max_int) (t : Machine.t) : Machine.stop =
         when steps + b.Machine.bk_ninsns + 1 <= max_steps && not (timer_due t b)
         ->
           exec_block t b;
-          stats.st_blocks <- stats.st_blocks + 1;
+          incr blocks;
           go (steps + b.Machine.bk_ninsns + 1) (Some b)
       | Some b ->
           (* timer deadline inside the block, or not enough budget left
              for a whole block: one precise step, then re-dispatch (a
              mid-block pc translates its own tail block) *)
-          if timer_due t b then
-            stats.st_timer_steps <- stats.st_timer_steps + 1
-          else stats.st_singles <- stats.st_singles + 1;
+          if timer_due t b then incr timer_steps else incr singles;
           Machine.exec_step t;
           go (steps + 1) None
       | None ->
           (* unregistered or misaligned pc: fall back to one precise step *)
           Machine.exec_step t;
-          stats.st_singles <- stats.st_singles + 1;
+          incr singles;
           go (steps + 1) None
   in
-  match go 0 None with
-  | s -> s
-  | exception Machine.Stopped s -> s
-  | exception Mem.Fault a -> Machine.Fault ("memory fault", a)
+  let count () =
+    let add c n = if n > 0 then Obs.incr ~by:n c in
+    add m_blocks !blocks;
+    add m_chain_hits !chain_hits;
+    add m_timer_steps !timer_steps;
+    add m_singles !singles
+  in
+  Fun.protect ~finally:count (fun () ->
+      match go 0 None with
+      | s -> s
+      | exception Machine.Stopped s -> s
+      | exception Mem.Fault a -> Machine.Fault ("memory fault", a))
 
 let () = Machine.install_block_engine (fun ~max_steps t -> run ~max_steps t)

@@ -14,37 +14,15 @@
     configuration they were compiled under and are retranslated in
     place when it changes, so both engines produce identical
     architectural state, cycles, instret, HPM counts, trace-hook calls
-    and timer firing points. *)
+    and timer firing points.
+
+    Counters, in {!Dyn_obs.Registry}: [sim.bbcache.translated],
+    [.blocks] (block executions), [.chain_hits] (dispatches resolved
+    through a chain), [.retranslated] (in-place retranslations after a
+    trace/HPM configuration change), [.timer_steps] (precise steps
+    because a timer deadline could fall inside a block), [.singles]
+    (precise steps for budget/uncached pcs) and [.evicted] (blocks
+    dropped by the [Machine.bb_cap] residency bound). *)
 
 (** Run until a stop event or [max_steps] on the block engine. *)
 val run : ?max_steps:int -> Machine.t -> Machine.stop
-
-type stats = {
-  mutable st_translated : int;  (** blocks translated *)
-  mutable st_blocks : int;  (** block executions (fast path) *)
-  mutable st_chain_hits : int;  (** dispatches resolved through a chain *)
-  mutable st_degraded : int;
-      (** legacy degraded-mode steps; stays 0 since observability fusion
-          (kept so stat surfaces can assert the fused path holds) *)
-  mutable st_retrans : int;
-      (** in-place retranslations after a trace/HPM configuration change *)
-  mutable st_timer_steps : int;
-      (** precise steps taken because a timer deadline could fall inside
-          a block *)
-  mutable st_singles : int;  (** precise steps for budget/uncached pcs *)
-  mutable st_evicted : int;
-      (** blocks dropped by the [Machine.bb_cap] residency bound *)
-}
-
-(** Process-wide counters since start (or the last {!reset_stats}). *)
-val stats : stats
-
-val reset_stats : unit -> unit
-
-(** {!Machine.flush_icache} invocations since start/reset. *)
-val flushes : unit -> int
-
-(** Push the counters into [Dyn_util.Stats] for the tools' --stats flag. *)
-val note_stats : unit -> unit
-
-val pp_stats : Format.formatter -> unit -> unit

@@ -161,9 +161,7 @@ let bump_hpm_event t ev =
       if t.hpm_event.(k) = ev then t.hpm.(k) <- Int64.add t.hpm.(k) 1L
     done
 
-(* Flushes since process start, for the block-cache statistics surfaced
-   by the tools' --stats flag. *)
-let flush_counter = ref 0
+let m_flushes = Dyn_obs.Registry.counter "sim.icache_flushes"
 
 let flush_icache t =
   Array.iter
@@ -175,7 +173,7 @@ let flush_icache t =
   t.icache_gen <- t.icache_gen + 1;
   Queue.clear t.bb_fifo;
   t.bb_live <- 0;
-  incr flush_counter;
+  Dyn_obs.Registry.incr m_flushes;
   bump_hpm_event t Cost.Ev_flush
 
 let in_region r (pc : int64) =

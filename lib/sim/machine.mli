@@ -151,4 +151,3 @@ val decode_at : t -> int64 -> Riscv.Insn.t option
 val in_region : region -> int64 -> bool
 val find_region : t -> int64 -> region option
 val install_block_engine : (max_steps:int -> t -> stop) -> unit
-val flush_counter : int ref

@@ -3,7 +3,8 @@
 # over a real Unix-domain socket.
 #
 #   1. start rvserved on a temp socket
-#   2. push a mixed batch (parse/lint/rewrite/trace) through rvq batch
+#   2. push a mixed batch (parse/lint/rewrite/trace) through rvq batch;
+#      the toolkit's parse spans must then show in `rvq metrics`
 #   3. push the identical batch again: every response must say
 #      cached=true and byte-match the cold payload
 #   4. stats must show cache hits; a metrics scrape must report
@@ -54,6 +55,11 @@ OUT1=$(batch | "$B/rvq.exe" batch --socket "$SOCK")
 [ "$(printf '%s\n' "$OUT1" | grep -c '"ok":true')" -eq 4 ] || {
     echo "serve-smoke: cold batch had failures:" >&2
     printf '%s\n' "$OUT1" >&2
+    exit 1
+}
+# toolkit spans of the cold jobs reach the daemon's registry
+"$B/rvq.exe" metrics --socket "$SOCK" | grep -q '^parse\.traverse_ns ' || {
+    echo "serve-smoke: metrics table has no parse.traverse_ns row" >&2
     exit 1
 }
 

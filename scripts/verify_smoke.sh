@@ -5,7 +5,8 @@
 #      mutatee and symbolically prove every patch site; then require
 #      every seeded wrong-rewrite class to pass the structural verifier
 #      but be disproved symbolically
-#   2. file-based round trip: rewrite fib on disk with a manifest, then
+#   2. file-based round trip: rewrite fib on disk with a manifest (its
+#      --stats table must show the parse and rewrite spans), then
 #      `rvverify verify` and `rvlint verify --symbolic` must both prove
 #      it (exit 0)
 #   3. exit-code convention: unreadable inputs exit 2 (the rvdump
@@ -28,7 +29,13 @@ trap cleanup EXIT INT TERM
 # file-based round trip: both CLIs prove a healthy on-disk rewrite
 "$B/mkmutatee.exe" --builtin fib -o "$DIR/fib.elf" >/dev/null
 "$B/rvrewrite.exe" "$DIR/fib.elf" "$DIR/fib_rw.elf" \
-    --manifest "$DIR/m.json" --entry main >/dev/null
+    --manifest "$DIR/m.json" --entry main --stats >"$DIR/rewrite.out"
+for row in parse.traverse_ns rewrite.apply_ns; do
+    grep -q "^$row " "$DIR/rewrite.out" || {
+        echo "verify-smoke: rvrewrite --stats has no $row row" >&2
+        exit 1
+    }
+done
 "$B/rvverify.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \
     --manifest "$DIR/m.json" >/dev/null
 "$B/rvlint.exe" verify "$DIR/fib.elf" "$DIR/fib_rw.elf" \

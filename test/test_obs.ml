@@ -1,12 +1,11 @@
 (* Dyn_obs: histogram bucket boundaries, merge-at-scrape correctness
-   under domain concurrency, trace-export validity, the Stats shim's
-   domain safety, and the warm=cold payload contract with telemetry
-   switched on. *)
+   under domain concurrency, trace-export validity and golden bytes,
+   the timed-span helper, the row codec and table, and the warm=cold
+   payload contract with telemetry switched on. *)
 
 module R = Dyn_obs.Registry
 module T = Dyn_obs.Trace
 module J = Dyn_util.Jsonw
-module Stats = Dyn_util.Stats
 module Cache = Serve_api.Cache
 module Wire = Serve_api.Wire
 module Jobs = Serve_api.Jobs
@@ -223,24 +222,143 @@ let test_trace_ring_bound () =
       | [] -> Alcotest.fail "empty ring"));
   T.set_capacity 65536
 
-(* --- the Stats shim is domain-safe --- *)
+(* --- golden export bytes --- *)
 
-let test_stats_shim_domain_safety () =
-  Stats.enable ();
-  Stats.reset ();
-  hammer 4 (fun _ ->
-      for _ = 1 to 10_000 do
-        Stats.span "obs-race" (fun () -> Stats.incr "obs-race-n")
-      done);
-  (match R.find "obs-race" with
-  | Some { R.r_value = R.Histogram_v hv; _ } ->
-      Alcotest.(check int) "every span observed" 40_000 hv.R.hv_count
-  | _ -> Alcotest.fail "span histogram missing");
-  (match R.find "obs-race-n" with
-  | Some { R.r_value = R.Counter_v v; _ } ->
-      Alcotest.(check int) "every incr counted" 40_000 v
-  | _ -> Alcotest.fail "counter missing");
-  Stats.disable ()
+(* Names and args carry quotes, newlines, tabs, backslashes and control
+   characters; the expected bytes were recorded from the exporter that
+   preceded the move onto Jsonw.  The instant's timestamp comes from
+   the clock, so it is spliced in. *)
+let golden_events () =
+  with_tracing (fun () ->
+      T.complete
+        ~args:[ ("k\"ey", "v\nal\x01ue"); ("tab", "a\tb\\c") ]
+        ~parent:"" ~tid:3 ~t0_ns:1_000_500 ~t1_ns:1_002_000 "span \"q\"\n";
+      T.complete ~parent:"outer\rp" ~tid:0 ~t0_ns:2_000_000 ~t1_ns:2_000_010
+        "tiny\x1f";
+      T.complete ~tid:1 ~t0_ns:5_000 ~t1_ns:4_000 "neg";
+      T.log ~level:T.Warn ~fields:[ ("why", "bad\r\n\"x\"\\") ] "inst\x02ant");
+  match T.events () with
+  | [ _; _; _; instant ] -> instant.T.ev_ts_ns
+  | evs -> Alcotest.failf "expected 4 events, got %d" (List.length evs)
+
+let test_chrome_golden () =
+  let ts = string_of_int (golden_events () / 1000) in
+  Alcotest.(check string)
+    "chrome bytes"
+    (String.concat ""
+       [
+         {|{"traceEvents":[|};
+         {|{"name":"span \"q\"\n","ph":"X","ts":1000,"dur":2,"pid":0,"tid":3,|};
+         {|"args":{"k\"ey":"v\nal\u0001ue","tab":"a\tb\\c"}},|};
+         {|{"name":"tiny\u001f","ph":"X","ts":2000,"dur":1,"pid":0,"tid":0,|};
+         {|"args":{"parent":"outer\rp"}},|};
+         {|{"name":"neg","ph":"X","ts":5,"dur":1,"pid":0,"tid":1,"args":{}},|};
+         {|{"name":"inst\u0002ant","ph":"i","ts":|}; ts;
+         {|,"s":"t","pid":0,"tid":0,|};
+         {|"args":{"level":"warn","why":"bad\r\n\"x\"\\"}}|};
+         {|],"displayTimeUnit":"ns"}|};
+       ])
+    (T.chrome_json ())
+
+let test_ndjson_golden () =
+  let ts = string_of_int (golden_events ()) in
+  Alcotest.(check string)
+    "ndjson bytes"
+    (String.concat ""
+       [
+         {|{"ts_ns":1000500,"level":"span","name":"span \"q\"\n","dur_ns":1500,|};
+         {|"tid":3,"parent":"","k\"ey":"v\nal\u0001ue","tab":"a\tb\\c"}|}; "\n";
+         {|{"ts_ns":2000000,"level":"span","name":"tiny\u001f","dur_ns":10,|};
+         {|"tid":0,"parent":"outer\rp"}|}; "\n";
+         {|{"ts_ns":5000,"level":"span","name":"neg","dur_ns":0,"tid":1,|};
+         {|"parent":""}|}; "\n";
+         {|{"ts_ns":|}; ts; {|,"level":"warn","name":"inst\u0002ant","dur_ns":0,|};
+         {|"tid":0,"parent":"","why":"bad\r\n\"x\"\\"}|}; "\n";
+       ])
+    (T.ndjson ())
+
+(* --- timed: a histogram always, a span while tracing --- *)
+
+let test_timed_off () =
+  T.clear ();
+  T.set_enabled false;
+  let h = R.histogram "t.timed.off_ns" in
+  let hits = ref 0 in
+  let v = T.timed h "t:off" (fun () -> incr hits; 41 + 1) in
+  Alcotest.(check int) "payload ran once" 1 !hits;
+  Alcotest.(check int) "value through" 42 v;
+  Alcotest.(check int) "observed" 1 (R.histogram_view h).R.hv_count;
+  Alcotest.(check int)
+    "no span while tracing is off" 0
+    (List.length (T.events ()));
+  with_tracing (fun () -> T.timed h "t:on" (fun () -> ()));
+  Alcotest.(check (list string))
+    "span while tracing is on" [ "t:on" ]
+    (List.map (fun e -> e.T.ev_name) (T.events ()));
+  Alcotest.(check int) "observed again" 2 (R.histogram_view h).R.hv_count
+
+let test_timed_nesting_and_raise () =
+  let outer = R.histogram "t.timed.outer_ns"
+  and inner = R.histogram "t.timed.inner_ns"
+  and boom = R.histogram "t.timed.boom_ns" in
+  with_tracing (fun () ->
+      let v =
+        T.timed outer "t:outer" (fun () ->
+            T.timed inner "t:inner" (fun () -> 7))
+      in
+      Alcotest.(check int) "nested value" 7 v;
+      match T.timed boom "t:boom" (fun () -> failwith "x") with
+      | _ -> Alcotest.fail "exception swallowed"
+      | exception Failure _ -> ());
+  List.iter
+    (fun (name, h) ->
+      Alcotest.(check int)
+        (name ^ " observed once") 1 (R.histogram_view h).R.hv_count)
+    [ ("outer", outer); ("inner", inner); ("raising call", boom) ];
+  let parent n =
+    (List.find (fun e -> e.T.ev_name = n) (T.events ())).T.ev_parent
+  in
+  Alcotest.(check string) "inner nests in outer" "t:outer" (parent "t:inner");
+  Alcotest.(check string)
+    "raising span recorded at the root" "" (parent "t:boom")
+
+(* --- row codec and table --- *)
+
+let test_codec_roundtrip () =
+  R.incr ~by:3 (R.counter "t.codec.counter");
+  R.set (R.gauge "t.codec.gauge") (-2);
+  R.observe (R.histogram "t.codec.hist") 1500;
+  let rows = R.snapshot () in
+  let back = R.of_json (J.of_string (J.to_string (R.to_json rows))) in
+  Alcotest.(check bool)
+    "snapshot -> encode -> decode is the identity" true (rows = back)
+
+let test_table_omits_zero_rows () =
+  let row name value = { R.r_name = name; r_value = value } in
+  let hv count =
+    {
+      R.hv_count = count;
+      hv_sum_ns = 3000 * count;
+      hv_buckets = Array.init R.n_buckets (fun i -> if i = 11 then count else 0);
+    }
+  in
+  let out =
+    Format.asprintf "%a" R.pp_rows
+      [
+        row "t.zero.counter" (R.Counter_v 0);
+        row "t.zero.gauge" (R.Gauge_v 0);
+        row "t.zero.hist" (R.Histogram_v (hv 0));
+        row "t.live.counter" (R.Counter_v 5);
+        row "t.live.gauge" (R.Gauge_v (-1));
+        row "t.live.hist" (R.Histogram_v (hv 2));
+      ]
+  in
+  let lines = String.split_on_char '\n' (String.trim out) in
+  let names = List.map (fun l -> List.hd (String.split_on_char ' ' l)) lines in
+  Alcotest.(check (list string))
+    "only rows that moved, histograms last"
+    [ "t.live.counter"; "t.live.gauge"; "--"; "t.live.hist" ]
+    names
 
 (* --- warm = cold with telemetry on --- *)
 
@@ -263,7 +381,6 @@ let fib_elf =
 
 let test_warm_cold_with_telemetry () =
   (* metrics and spans must never leak into payload bytes *)
-  Stats.enable ();
   with_tracing (fun () ->
       let path = Lazy.force fib_elf in
       List.iter
@@ -283,8 +400,7 @@ let test_warm_cold_with_telemetry () =
           ( Wire.Rewrite
               (Patch_api.Rewriter.counter_spec ~entries:[ "main" ] ()),
             "rewrite" );
-        ]);
-  Stats.disable ()
+        ])
 
 (* --- metrics wire action --- *)
 
@@ -315,6 +431,9 @@ let () =
           Alcotest.test_case "enabled switch" `Quick test_enabled_switch;
           Alcotest.test_case "kind clash" `Quick test_kind_clash;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
+          Alcotest.test_case "codec round trip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "table omits zero rows" `Quick
+            test_table_omits_zero_rows;
         ] );
       ( "trace",
         [
@@ -324,11 +443,14 @@ let () =
           Alcotest.test_case "off records nothing" `Quick
             test_trace_off_records_nothing;
           Alcotest.test_case "ring bound" `Quick test_trace_ring_bound;
+          Alcotest.test_case "chrome golden bytes" `Quick test_chrome_golden;
+          Alcotest.test_case "ndjson golden bytes" `Quick test_ndjson_golden;
         ] );
-      ( "stats-shim",
+      ( "timed",
         [
-          Alcotest.test_case "4-domain hammer" `Quick
-            test_stats_shim_domain_safety;
+          Alcotest.test_case "span only while tracing" `Quick test_timed_off;
+          Alcotest.test_case "nesting and a raising call" `Quick
+            test_timed_nesting_and_raise;
         ] );
       ( "differential",
         [

@@ -415,33 +415,39 @@ let test_server_session () =
   Alcotest.(check bool)
     "stats counts jobs" true
     (J.to_int64 (J.member "jobs" stats) >= 3L);
+  (* stats holds this instance's facts; process-wide rows are metrics' *)
+  (match stats with
+  | J.Obj kvs ->
+      Alcotest.(check (list string))
+        "stats keys"
+        [
+          "cache"; "stat_hits"; "stat_misses"; "domains"; "parse_domains";
+          "jobs"; "uptime_us";
+        ]
+        (List.map fst kvs)
+  | _ -> Alcotest.fail "stats payload is not an object");
   (* metrics scrape: registry rows with the cache/job instruments *)
   send { Wire.rq_id = 5L; rq_path = ""; rq_action = Wire.Metrics };
   let metrics_resp = Wire.decode_response (input_line ic) in
   Alcotest.(check bool) "metrics ok" true metrics_resp.Wire.rs_ok;
-  let rows =
-    J.to_list (J.member "metrics" (J.of_string metrics_resp.Wire.rs_payload))
-  in
-  let row name =
-    List.find_opt (fun r -> J.to_str (J.member "name" r) = name) rows
-  in
+  let module R = Dyn_obs.Registry in
+  let rows = R.of_json (J.of_string metrics_resp.Wire.rs_payload) in
+  let row name = List.find_opt (fun r -> r.R.r_name = name) rows in
   (match row "serve.cache.hits" with
-  | None -> Alcotest.fail "serve.cache.hits row missing"
-  | Some r ->
-      Alcotest.(check bool)
-        "the fib copy hit the cache" true
-        (J.to_int64 (J.member "value" r) >= 1L));
+  | Some { R.r_value = R.Counter_v v; _ } ->
+      Alcotest.(check bool) "the fib copy hit the cache" true (v >= 1)
+  | _ -> Alcotest.fail "serve.cache.hits counter missing");
   (match row "serve.job.lint.latency_ns" with
-  | None -> Alcotest.fail "lint latency histogram missing"
-  | Some r ->
-      Alcotest.(check string)
-        "histogram row" "histogram"
-        (J.to_str (J.member "type" r));
-      Alcotest.(check bool)
-        "both lint jobs observed" true
-        (J.to_int64 (J.member "count" r) >= 2L));
+  | Some { R.r_value = R.Histogram_v hv; _ } ->
+      Alcotest.(check bool) "both lint jobs observed" true (hv.R.hv_count >= 2)
+  | _ -> Alcotest.fail "lint latency histogram missing");
+  (* toolkit spans of the jobs' cold parse reach the daemon's registry *)
+  (match row "parse.traverse_ns" with
+  | Some { R.r_value = R.Histogram_v hv; _ } ->
+      Alcotest.(check bool) "parse traversal timed" true (hv.R.hv_count >= 1)
+  | _ -> Alcotest.fail "parse.traverse_ns histogram missing");
   (* names arrive sorted: the scrape is deterministic for diffing *)
-  let names = List.map (fun r -> J.to_str (J.member "name" r)) rows in
+  let names = List.map (fun r -> r.R.r_name) rows in
   Alcotest.(check bool)
     "metric names sorted" true
     (List.sort compare names = names);
@@ -459,9 +465,12 @@ let run_with_cap cap =
   let p = Rvsim.Loader.load img in
   let m = p.Rvsim.Loader.machine in
   m.Rvsim.Machine.bb_cap <- cap;
-  Rvsim.Bbcache.reset_stats ();
+  let evicted () =
+    Dyn_obs.Registry.(counter_value (counter "sim.bbcache.evicted"))
+  in
+  let before = evicted () in
   let stop, _ = Rvsim.Loader.run p in
-  (stop, m, Rvsim.Bbcache.stats.Rvsim.Bbcache.st_evicted)
+  (stop, m, evicted () - before)
 
 let test_bbcache_cap_bounds_residency () =
   let stop_unbounded, m0, ev0 = run_with_cap 0 in

@@ -8,6 +8,15 @@ open Rvsim
 let checks = Alcotest.(check string)
 let check64 = Alcotest.(check int64)
 
+(* Engine counters live in the process-wide registry: tests read them
+   as deltas across the run under test. *)
+let counter name = Dyn_obs.Registry.(counter_value (counter name))
+
+let delta name f =
+  let before = counter name in
+  let v = f () in
+  (v, counter name - before)
+
 let text_base = 0x10000L
 let data_base = 0x20000L
 
@@ -655,22 +664,32 @@ let test_engine_limit_parity () =
     check64 "a0 parity" a1 a2
   done
 
-let test_reset_stats_preserves_flushes () =
-  (* regression: reset_stats used to zero the process-wide flush
-     counter, erasing icache-flush history shared with the rest of the
-     stack; it must snapshot a baseline instead *)
+let test_flush_icache_counts () =
   let m = Machine.create () in
   ignore (Machine.add_code_region m ~base:0x4000L ~size:0x100);
-  let before = !Machine.flush_counter in
-  Machine.flush_icache m;
-  Alcotest.(check int) "global counter advanced" (before + 1)
-    !Machine.flush_counter;
-  Bbcache.reset_stats ();
-  Alcotest.(check int) "reset preserves global history" (before + 1)
-    !Machine.flush_counter;
-  Alcotest.(check int) "window restarts at zero" 0 (Bbcache.flushes ());
-  Machine.flush_icache m;
-  Alcotest.(check int) "window counts new flushes" 1 (Bbcache.flushes ())
+  let (), n = delta "sim.icache_flushes" (fun () -> Machine.flush_icache m) in
+  Alcotest.(check int) "one flush counted" 1 n
+
+let test_concurrent_block_counts () =
+  (* every worker domain's block executions reach the registry exactly:
+     four concurrent runs count four times one run *)
+  let img =
+    (Minicc.Driver.compile (Minicc.Programs.matmul ~n:10 ~reps:1))
+      .Minicc.Driver.image
+  in
+  let run () =
+    let p = Loader.load ~engine:Machine.Eng_block img in
+    match Loader.run p with
+    | Machine.Exited 0, _ -> ()
+    | s, _ -> Alcotest.failf "matmul stopped with %a" Machine.pp_stop s
+  in
+  let (), one = delta "sim.bbcache.blocks" run in
+  let (), four =
+    delta "sim.bbcache.blocks" (fun () ->
+        List.init 4 (fun _ -> Domain.spawn run) |> List.iter Domain.join)
+  in
+  Alcotest.(check bool) "blocks executed" true (one > 0);
+  Alcotest.(check int) "4 domains count 4x one run" (4 * one) four
 
 let test_timer_midblock_parity () =
   (* a timer whose deadline falls inside translated blocks: the block
@@ -700,8 +719,9 @@ let test_timer_midblock_parity () =
     let stop, _ = Loader.run p in
     (exit_code stop, List.rev !fires, m.Machine.cycles, m.Machine.instret)
   in
-  Bbcache.reset_stats ();
-  let c2, f2, cy2, i2 = observe Machine.Eng_block in
+  let (c2, f2, cy2, i2), timer_steps =
+    delta "sim.bbcache.timer_steps" (fun () -> observe Machine.Eng_block)
+  in
   let c1, f1, cy1, i1 = observe Machine.Eng_interp in
   Alcotest.(check int) "exit parity" c1 c2;
   Alcotest.(check (list int64)) "firing cycles parity" f1 f2;
@@ -709,9 +729,7 @@ let test_timer_midblock_parity () =
   check64 "instret parity" i1 i2;
   Alcotest.(check bool) "timer actually fired mid-run" true (List.length f1 > 2);
   Alcotest.(check bool)
-    "block engine rolled back to precise steps" true
-    (Bbcache.stats.Bbcache.st_timer_steps > 0);
-  Alcotest.(check int) "no degraded mode" 0 Bbcache.stats.Bbcache.st_degraded
+    "block engine rolled back to precise steps" true (timer_steps > 0)
 
 let test_hpm_toggle_retranslates () =
   (* the code cache is keyed on the observability configuration:
@@ -754,10 +772,10 @@ let test_hpm_toggle_retranslates () =
     let h2 = Array.copy m.Machine.hpm in
     (h0, h1, h2)
   in
-  Bbcache.reset_stats ();
-  let b0, b1, b2 = phases Machine.Eng_block in
-  let retrans = Bbcache.stats.Bbcache.st_retrans in
-  let flushes = Bbcache.flushes () in
+  let ((b0, b1, b2), retrans), flushes =
+    delta "sim.icache_flushes" (fun () ->
+        delta "sim.bbcache.retranslated" (fun () -> phases Machine.Eng_block))
+  in
   let a0, a1, a2 = phases Machine.Eng_interp in
   List.iter2
     (fun (name, a) b ->
@@ -767,8 +785,7 @@ let test_hpm_toggle_retranslates () =
   Alcotest.(check bool) "phase 2 counted branches" true (b1.(0) > b0.(0));
   Alcotest.(check int64) "phase 3 froze the counter" b1.(0) b2.(0);
   Alcotest.(check bool) "blocks were retranslated in place" true (retrans > 0);
-  Alcotest.(check int) "no global flush involved" 0 flushes;
-  Alcotest.(check int) "no degraded mode" 0 Bbcache.stats.Bbcache.st_degraded
+  Alcotest.(check int) "no global flush involved" 0 flushes
 
 let test_traced_selfmod_fence_i () =
   (* FENCE.I inside a traced block: the fused translations are
@@ -784,12 +801,12 @@ let test_traced_selfmod_fence_i () =
     let stop, _ = Loader.run p in
     (exit_code stop, !count)
   in
-  Bbcache.reset_stats ();
-  let c2, n2 = observe Machine.Eng_block in
-  Alcotest.(check int) "no degraded mode" 0 Bbcache.stats.Bbcache.st_degraded;
-  Alcotest.(check bool)
-    "fast path actually ran blocks" true
-    (Bbcache.stats.Bbcache.st_blocks > 0);
+  let ((c2, n2), blocks), singles =
+    delta "sim.bbcache.singles" (fun () ->
+        delta "sim.bbcache.blocks" (fun () -> observe Machine.Eng_block))
+  in
+  Alcotest.(check int) "no precise fallback steps" 0 singles;
+  Alcotest.(check bool) "fast path actually ran blocks" true (blocks > 0);
   let c1, n1 = observe Machine.Eng_interp in
   Alcotest.(check int) "patched result (block engine)" 21 c2;
   Alcotest.(check int) "patched result (interpreter)" 21 c1;
@@ -852,8 +869,10 @@ let () =
           Alcotest.test_case "self-modification through a chain" `Quick
             test_selfmod_chained_blocks;
           Alcotest.test_case "step-budget parity" `Quick test_engine_limit_parity;
-          Alcotest.test_case "reset_stats preserves flush history" `Quick
-            test_reset_stats_preserves_flushes;
+          Alcotest.test_case "flush_icache counts a flush" `Quick
+            test_flush_icache_counts;
+          Alcotest.test_case "4-domain block counts exact" `Quick
+            test_concurrent_block_counts;
           Alcotest.test_case "timer mid-block parity" `Quick
             test_timer_midblock_parity;
           Alcotest.test_case "hpm toggle retranslates" `Quick
