@@ -10,15 +10,21 @@
 #                bars, any interpreter step under tracing, or an
 #                engine-differential divergence; the parse section
 #                fails below a 1.5x largest-corpus speedup over the
-#                sequential reference parser or on any CFG difference
+#                sequential reference parser or on any CFG difference;
+#                the trace section fails if a mem-trace record's hot
+#                path costs more than 30 guest cycles (exact, simulated)
 
 #   fuzz-smoke   fixed-seed differential fuzz: rvsim vs the Sail IR in
 #                lockstep, the exhaustive RVC decoder sweep, the rewrite
-#                round-trip on two mutatees, the superblock-engine vs
-#                interpreter differential, and the parallel-parser CFG
+#                round-trip on two mutatees (counter, block-trace and
+#                memory-trace snippets; trace records must equal an
+#                interpreter-hook reference), the superblock-engine vs
+#                interpreter differential, the parallel-parser CFG
 #                differential (minicc mutatees vs the sequential
 #                reference, adversarial fuzz streams vs domains=1, at
-#                1/2/4/8 oversubscribed domains).  Deterministic and
+#                1/2/4/8 oversubscribed domains), and the codegen
+#                differential (seeded random snippets lowered and run
+#                under rvsim vs an AST evaluator).  Deterministic and
 #                fast; prints an `rvcheck replay --seed N --index K`
 #                reproducer line on any divergence
 #   lint-smoke   static safety net: lint + instrument + rewrite + verify
@@ -28,7 +34,9 @@
 #                mixed batch, warm batch must be fully cached and
 #                byte-identical, clean shutdown
 #   verify-smoke symbolic tier: prove every built-in mutatee rewrite
-#                equivalent site by site, require every seeded
+#                equivalent site by site, and matmul's TraceAPI block-
+#                and memory-record sites (no failure; an inconclusive
+#                site must name its budget), require every seeded
 #                wrong-rewrite class to pass the structural verifier
 #                but fail symbolically, and pin the exit-2 convention
 #                for unreadable inputs

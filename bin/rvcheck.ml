@@ -86,7 +86,17 @@ let run_roundtrip mutatees =
       (String.concat ", " Roundtrip.builtin_names);
     exit 2
   end;
-  let results = List.map (fun n -> Roundtrip.check_builtin n) names in
+  let results =
+    List.concat_map
+      (fun n ->
+        [
+          Roundtrip.check_builtin n;
+          Roundtrip.check_trace_builtin ~mode:`Coverage n;
+          Roundtrip.check_trace_builtin ~mode:`Mem n;
+          Roundtrip.check_trace_builtin ~use_dead_regs:false ~mode:`Mem n;
+        ])
+      names
+  in
   List.iter (fun r -> pr "%a" Roundtrip.pp_result r) results;
   if List.exists (fun r -> r.Roundtrip.rt_diffs <> []) results then 1 else 0
 
@@ -129,16 +139,21 @@ let run_parsediff mutatees seeds verbose =
   pr "%a" Parsediff.pp_summary s;
   if s.Parsediff.s_diverged = 0 then 0 else 1
 
-(* The CI profile: fixed seed, bounded, sub-second; covers all five
+(* The CI profile: fixed seed, bounded, sub-second; covers all six
    harness legs so `make fuzz-smoke` exercises everything — including
-   the parallel-parser CFG-identity gate. *)
+   the parallel-parser CFG-identity gate and the codegen differential. *)
 let run_smoke () =
   let rc1 = run_lockstep 1L 4000 false in
   let rc2 = run_decoder () in
   let rc3 = run_roundtrip [ "fib"; "calls" ] in
   let rc4 = run_engine [ "fib"; "calls" ] 10 40 false in
   let rc5 = run_parsediff [ "all" ] 5 false in
-  if rc1 + rc2 + rc3 + rc4 + rc5 = 0 then begin
+  let rc6 =
+    let s = Codegendiff.sweep ~seed:1L ~count:600 in
+    pr "%a" (Codegendiff.pp_summary ~seed:1L) s;
+    if s.Codegendiff.s_diverged = [] then 0 else 1
+  in
+  if rc1 + rc2 + rc3 + rc4 + rc5 + rc6 = 0 then begin
     pr "fuzz-smoke: ok@.";
     0
   end

@@ -8,9 +8,10 @@
          inconclusive site), exit 2 on unreadable inputs
      rvverify smoke
          instrument + rewrite every built-in minicc mutatee and require
-         every site to prove, then require every seeded wrong-rewrite
-         class to pass the structural verifier but fail symbolically
-         (`make verify-smoke`) *)
+         every site to prove, trace matmul's multiply with TraceAPI block
+         records (every site proves) and memory records (none fails),
+         then require every seeded wrong-rewrite class to pass the
+         structural verifier but fail symbolically (`make verify-smoke`) *)
 
 open Cmdliner
 open Verify_api
@@ -112,6 +113,34 @@ let smoke_minicc name src =
         (Check.to_diags r);
       if r.Check.r_ok = List.length r.Check.r_sites then 0 else 1
 
+(* TraceAPI record snippets on matmul's multiply: every bb-trace site
+   must prove; mem-trace sites must not fail, and a site left
+   inconclusive must say which budget it ran out of. *)
+let smoke_trace ~all_proved name opts =
+  let compiled = Minicc.Driver.compile (Minicc.Programs.matmul ~n:8 ~reps:1) in
+  let b = Core.open_image compiled.Minicc.Driver.image in
+  let m = Core.create_mutator b in
+  let ring = Trace_api.Ring.create m.Core.rw ~capacity:1024 in
+  ignore
+    (Trace_api.Tracer.instrument m.Core.rw b.Core.cfg ~ring ~funcs:[ "multiply" ] opts);
+  let rw = Core.rewrite m in
+  let manifest = Option.get (Core.manifest m) in
+  let r = Check.check_manifest ~orig:b.Core.symtab b.Core.cfg ~manifest ~rewritten:rw in
+  pr "%-8s %d site(s): %d proved, %d failed, %d inconclusive@." name
+    (List.length r.Check.r_sites) r.Check.r_ok r.Check.r_failed r.Check.r_unknown;
+  List.iter (fun d -> pr "  %a@." Lint_api.Diag.pp d) (Check.to_diags r);
+  let budget_reason (s : Equiv.site) =
+    match s.Equiv.s_verdict with
+    | Equiv.Unknown msg -> String.length msg >= 8 && String.sub msg 0 8 = "timeout:"
+    | _ -> true
+  in
+  if
+    r.Check.r_failed = 0
+    && List.for_all budget_reason r.Check.r_sites
+    && ((not all_proved) || r.Check.r_ok = List.length r.Check.r_sites)
+  then 0
+  else 1
+
 let smoke_wrongs () =
   List.fold_left
     (fun acc (c : Wrongs.case) ->
@@ -136,6 +165,9 @@ let run_smoke () =
       (fun acc (name, src) -> acc + smoke_minicc name (Lazy.force src))
       0 builtins
   in
+  let bb = smoke_trace ~all_proved:true "bb-trace" Trace_api.Tracer.coverage_only in
+  let mem = smoke_trace ~all_proved:false "mem-trace" Trace_api.Tracer.mem_only in
+  let rc = rc + bb + mem in
   let rc = rc + smoke_wrongs () in
   if rc = 0 then begin
     pr "rvverify smoke: ok@.";

@@ -7,7 +7,15 @@
     profile without M raises {!Codegen_error} instead of planting an
     illegal instruction.  Immediate materialization uses the
     lui/addi/slli expansions the paper describes, with the low 12 bits of
-    variable addresses folded into access offsets when possible. *)
+    constant addresses folded into access offsets when possible.
+
+    Instruction selection follows the shape in {!Snippet}: in-place
+    operands (locals, mutatee registers, zero) need no [mv]; constants
+    that fit take immediate forms (addi/andi/ori/xori/slli/srli/slti);
+    [e + k] folds into load/store offsets; [If]/[While] on a comparison
+    is one compare-and-branch, with no jump for an empty else; [Let]
+    holds its value in a scratch register for its body.  The code
+    writes exactly [Snippet.regs_needed] scratch registers. *)
 
 exception Codegen_error of string
 

@@ -15,6 +15,7 @@ type insertion = {
   mi_spilled : bool; (* snippet borrowed registers (save/restore path) *)
   mi_clobbers : Riscv.Reg.t list; (* dead-allocated scratch, left modified *)
   mi_code_defs : Riscv.Reg.t list; (* every reg the woven code may write *)
+  mi_effects : Codegen_api.Snippet.effect list; (* cycle reads, syscalls *)
 }
 
 type entry = {
@@ -62,6 +63,14 @@ let json_of_regs rs = J.List (List.map (fun r -> J.Int (Int64.of_int r)) rs)
 let regs_of_json j =
   List.map (fun x -> Int64.to_int (J.to_int64 x)) (J.to_list j)
 
+let json_of_effect = function
+  | Codegen_api.Snippet.Reads_cycle -> J.String "cycle"
+  | Codegen_api.Snippet.Raises n -> J.Int (Int64.of_int n)
+
+let effect_of_json = function
+  | J.String "cycle" -> Codegen_api.Snippet.Reads_cycle
+  | j -> Codegen_api.Snippet.Raises (Int64.to_int (J.to_int64 j))
+
 let json_of_insertion i =
   J.Obj
     [
@@ -70,6 +79,7 @@ let json_of_insertion i =
       ("spilled", J.Bool i.mi_spilled);
       ("clobbers", json_of_regs i.mi_clobbers);
       ("code_defs", json_of_regs i.mi_code_defs);
+      ("effects", J.List (List.map json_of_effect i.mi_effects));
     ]
 
 let insertion_of_json j =
@@ -79,6 +89,10 @@ let insertion_of_json j =
     mi_spilled = J.to_bool (J.member "spilled" j);
     mi_clobbers = regs_of_json (J.member "clobbers" j);
     mi_code_defs = regs_of_json (J.member "code_defs" j);
+    mi_effects =
+      (match J.member "effects" j with
+      | J.Null -> []
+      | l -> List.map effect_of_json (J.to_list l));
   }
 
 let json_of_entry e =

@@ -13,6 +13,10 @@ type insertion = {
       (** dead-allocated scratch, left modified at the point *)
   mi_code_defs : Riscv.Reg.t list;
       (** every register the woven code may write *)
+  mi_effects : Codegen_api.Snippet.effect list;
+      (** the snippet's own effects beyond its stores (cycle reads,
+          raised syscalls); the symbolic verifier excuses exactly these.
+          JSON: ["cycle"] or the syscall number; absent reads as none *)
 }
 
 type entry = {

@@ -63,7 +63,13 @@ type t = {
   stats : stats;
   mutable label_counter : int;
   mutable last_manifest : Manifest.t option; (* filled by [plan] *)
+  mutable last_woven : woven list; (* filled by [plan] *)
 }
+
+(* Where one woven snippet landed in the trampoline area:
+   [lo, body) spill saves, [body, tail) the snippet's own code,
+   [tail, hi) spill restores. *)
+and woven = { wv_lo : int64; wv_body : int64; wv_tail : int64; wv_hi : int64 }
 
 let image_end (symtab : Symtab.t) =
   List.fold_left
@@ -128,6 +134,7 @@ let create ?tramp_base ?(use_dead_regs = true) (symtab : Symtab.t)
     stats = { n_points = 0; n_dead_alloc = 0; n_spilled = 0; strategies = [] };
     label_counter = 0;
     last_manifest = None;
+    last_woven = [];
   }
 
 (* Allocate an instrumentation variable in the patch data area. *)
@@ -197,9 +204,11 @@ let fresh_prefix t =
    Returns the items plus the dead-allocated scratch registers the code
    leaves modified (borrowed registers are saved/restored and so are not
    clobbers) and whether the spill path was taken — the raw material of
-   the manifest's §4.3 claims. *)
+   the manifest's §4.3 claims.  The snippet's own code is bracketed by
+   two labels for {!woven}; the last component is (those labels, the
+   number of borrowed registers). *)
 let wrap_snippet t ~(dead : Reg.t list) (stmts : Codegen_api.Snippet.stmt list)
-    : Asm.item list * Reg.t list * bool =
+    : Asm.item list * Reg.t list * bool * (string * string * int) =
   let open Codegen_api in
   let needed = Snippet.regs_needed stmts in
   let reads = Snippet.reads stmts in
@@ -208,17 +217,23 @@ let wrap_snippet t ~(dead : Reg.t list) (stmts : Codegen_api.Snippet.stmt list)
       List.filter (fun r -> Reg.is_int r && not (List.mem r reads)) dead
     else []
   in
+  let prefix = fresh_prefix t in
+  let body = ".L" ^ prefix ^ "_body" and tail = ".L" ^ prefix ^ "_tail" in
+  let woven saves code restores =
+    saves @ (Asm.Label body :: code) @ (Asm.Label tail :: restores)
+  in
   if List.length usable >= needed then begin
     t.stats.n_dead_alloc <- t.stats.n_dead_alloc + 1;
     let scratch = List.filteri (fun k _ -> k < needed) usable in
-    let ctx =
-      Codegen.create_ctx ~label_prefix:(fresh_prefix t) ~profile:t.profile
-        ~scratch ()
-    in
-    (Codegen.generate ctx stmts, scratch, false)
+    let ctx = Codegen.create_ctx ~label_prefix:prefix ~profile:t.profile ~scratch () in
+    (woven [] (Codegen.generate ctx stmts) [], scratch, false, (body, tail, 0))
   end
   else begin
     t.stats.n_spilled <- t.stats.n_spilled + 1;
+    (* the frame moves sp under the snippet, so its reads of sp are
+       rebased by the frame size; the register count does not depend on
+       which (12-bit, non-zero) size that is *)
+    let needed = Snippet.regs_needed (Snippet.shift_sp 16L stmts) in
     let borrowed_count = needed - List.length usable in
     let borrowed =
       List.filter
@@ -241,10 +256,12 @@ let wrap_snippet t ~(dead : Reg.t list) (stmts : Codegen_api.Snippet.stmt list)
       @ [ Asm.Insn (Build.addi Reg.sp Reg.sp frame) ]
     in
     let ctx =
-      Codegen.create_ctx ~label_prefix:(fresh_prefix t) ~profile:t.profile
+      Codegen.create_ctx ~label_prefix:prefix ~profile:t.profile
         ~scratch:(usable @ borrowed) ()
     in
-    (saves @ Codegen.generate ctx stmts @ restores, usable, true)
+    let stmts = Snippet.shift_sp (Int64.of_int frame) stmts in
+    (woven saves (Codegen.generate ctx stmts) restores, usable, true,
+     (body, tail, List.length borrowed))
   end
 
 (* --- springboards ----------------------------------------------------------- *)
@@ -358,6 +375,7 @@ let plan (t : t) : plan =
     Hashtbl.create 16
   in
   let chunks = ref [] in
+  let spans = ref [] in
   List.iter
     (fun (baddr, reqs) ->
       let b =
@@ -371,13 +389,15 @@ let plan (t : t) : plan =
           (function
             | Before (addr, stmts) ->
                 let dead = dead_at_point t cache b addr in
-                let code, clobbers, spilled = wrap_snippet t ~dead stmts in
+                let code, clobbers, spilled, span = wrap_snippet t ~dead stmts in
+                spans := span :: !spans;
                 minfo :=
                   { Manifest.mi_addr = addr;
                     mi_edge = false;
                     mi_spilled = spilled;
                     mi_clobbers = clobbers;
-                    mi_code_defs = Manifest.defs_of_items code }
+                    mi_code_defs = Manifest.defs_of_items code;
+                    mi_effects = Codegen_api.Snippet.effects stmts }
                   :: !minfo;
                 Some { Trampoline.ins_before = addr; ins_items = code }
             | On_edge _ -> None)
@@ -393,13 +413,15 @@ let plan (t : t) : plan =
                   | None -> baddr
                 in
                 let dead = dead_on_edge t cache b ~target in
-                let code, clobbers, spilled = wrap_snippet t ~dead stmts in
+                let code, clobbers, spilled, span = wrap_snippet t ~dead stmts in
+                spans := span :: !spans;
                 minfo :=
                   { Manifest.mi_addr = branch_addr;
                     mi_edge = true;
                     mi_spilled = spilled;
                     mi_clobbers = clobbers;
-                    mi_code_defs = Manifest.defs_of_items code }
+                    mi_code_defs = Manifest.defs_of_items code;
+                    mi_effects = Codegen_api.Snippet.effects stmts }
                   :: !minfo;
                 Some { Trampoline.ei_branch = branch_addr; ei_items = code }
             | Before _ -> None)
@@ -416,6 +438,16 @@ let plan (t : t) : plan =
     Asm.assemble ~base:t.tramp_base ~symbols:Trampoline.abs_symbols
       (List.concat (List.rev !chunks))
   in
+  (* spill saves and restores are 4-byte instructions: addi sp plus one
+     sd/ld per borrowed register *)
+  t.last_woven <-
+    List.rev_map
+      (fun (body, tail, borrowed) ->
+        let spill = if borrowed = 0 then 0L else Int64.of_int (4 * (borrowed + 1)) in
+        let body = Asm.label_addr asm body and tail = Asm.label_addr asm tail in
+        { wv_lo = Int64.sub body spill; wv_body = body; wv_tail = tail;
+          wv_hi = Int64.add tail spill })
+      !spans;
   (* 2. springboards *)
   let traps = ref [] in
   let patches = ref [] in
@@ -566,6 +598,7 @@ let rewrite (t : t) : Elfkit.Types.image =
   img
 
 let stats t = t.stats
+let woven t = t.last_woven
 let manifest t = t.last_manifest
 
 (* How many instrumented blocks used each springboard strategy, in

@@ -91,6 +91,15 @@ val verify_hook :
 
 val stats : t -> stats
 
+(** Where one woven snippet landed in the trampoline area:
+    [\[wv_lo, wv_body)] spill saves, [\[wv_body, wv_tail)] the snippet's
+    own code, [\[wv_tail, wv_hi)] spill restores (both spill ranges are
+    empty on the dead-register path). *)
+type woven = { wv_lo : int64; wv_body : int64; wv_tail : int64; wv_hi : int64 }
+
+(** The woven snippets of the last {!plan}, in insertion order. *)
+val woven : t -> woven list
+
 (** Springboard strategy histogram, in preference order. *)
 val strategy_mix : stats -> (strategy * int) list
 
@@ -114,7 +123,7 @@ val wrap_snippet :
   t ->
   dead:Riscv.Reg.t list ->
   Codegen_api.Snippet.stmt list ->
-  Riscv.Asm.item list * Riscv.Reg.t list * bool
+  Riscv.Asm.item list * Riscv.Reg.t list * bool * (string * string * int)
 
 val default_tramp_base : Symtab.t -> data_base:int64 -> int64
 

@@ -80,8 +80,9 @@ let assemble ?(base = 0L) ?(symbols = fun (_ : string) -> (None : int64 option))
       cur := Int64.add !cur (Int64.of_int sizes.(k))
     done
   in
+  let n_labels = Array.fold_left (fun c it -> match it with Label _ -> c + 1 | _ -> c) 0 items in
   let label_table () =
-    let h = Hashtbl.create 16 in
+    let h = Hashtbl.create (max 16 n_labels) in
     for k = 0 to n - 1 do
       match items.(k) with
       | Label l -> Hashtbl.replace h l offsets.(k)

@@ -47,8 +47,9 @@ let m_waits = Obs.counter "serve.cache.singleflight_waits"
 let g_bytes = Obs.gauge "serve.cache.resident_bytes"
 let g_entries = Obs.gauge "serve.cache.entries"
 
-(* Bump when the rendered payload format of any action changes. *)
-let schema_version = 1
+(* Bump when the rendered payload format of any action changes (2:
+   manifest insertions list their snippet effects). *)
+let schema_version = 2
 
 type value = Bin of Core.binary | Payload of string
 

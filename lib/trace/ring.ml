@@ -9,7 +9,8 @@
 
    A record is written at slot [widx land (capacity-1)], then widx is
    incremented, then the emitting snippet checks [widx - flushed >=
-   capacity] and, if the ring just filled, raises the flush syscall so
+   capacity] (on the pre-increment widx, as [>= capacity - 1]) and, if
+   the ring just filled, raises the flush syscall so
    the sink drains [flushed, widx) before the next record could
    overwrite an undrained slot.  Both counters only ever grow, so the
    sink can also drain a partial tail at exit. *)
@@ -43,35 +44,68 @@ let create ?(name = "trace") (rw : Patch_api.Rewriter.t) ~capacity : t =
   in
   { widx; flushed; buf_base; capacity }
 
+(* The base the record snippet addresses the ring from: every field it
+   touches (widx, flushed, the four words of slot 0) within a 12-bit
+   offset, and a single lui when a page boundary is that close. *)
+let base (t : t) =
+  let lo = t.widx.Snippet.v_addr in
+  let hi = Int64.add t.buf_base (Int64.of_int (Record.size - 1)) in
+  let b, _ = Snippet.near_base lo in
+  if Snippet.fits_imm12 (Int64.sub lo b) && Snippet.fits_imm12 (Int64.sub hi b)
+  then b
+  else lo
+
 (* The snippet statements appending one record.  [addr] and [value] are
    arbitrary snippet expressions, so trace points can capture run-time
-   state (e.g. an effective address from a base register). *)
+   state (e.g. an effective address from a base register).
+
+   The ring base, widx and the slot pointer are each computed once and
+   held in scratch registers (four in all); the no-flush path is
+   lui; ld; andi; slli; add; 4 x (value; sd); addi; sd; ld; sub; li;
+   blt.  The flush test [widx - flushed >= capacity - 1] reads widx
+   before its increment. *)
 let emit (t : t) ~(kind : Record.kind) ~(addr : Snippet.expr)
     ~(value : Snippet.expr) : Snippet.stmt list =
   let open Snippet in
+  let b = base t in
+  let at l off = Bin (Plus, Local l, Const off) in
+  let ring a = at "ring" (Int64.sub a b) in
+  let field k = at "slot" (Int64.add (Int64.sub t.buf_base b) (Int64.of_int k)) in
   let mask = Int64.of_int (t.capacity - 1) in
-  let field k =
-    Bin
-      ( Plus,
-        Const (Int64.add t.buf_base (Int64.of_int k)),
-        Bin
-          ( Shl,
-            Bin (BAnd, Var t.widx, Const mask),
-            Const (Int64.of_int log2_record_size) ) )
-  in
   [
-    Store (8, field 0, Const (Record.code kind));
-    Store (8, field 8, addr);
-    Store (8, field 16, value);
-    Store (8, field 24, Cycle);
-    Set (t.widx, Bin (Plus, Var t.widx, Const 1L));
-    If
-      ( Bin
-          ( Ge,
-            Bin (Minus, Var t.widx, Var t.flushed),
-            Const (Int64.of_int t.capacity) ),
-        [ Scall (flush_syscall, [ Const t.buf_base ]) ],
-        [] );
+    Let
+      ( "ring",
+        Const b,
+        [
+          Let
+            ( "widx",
+              Load (8, ring t.widx.v_addr),
+              [
+                Let
+                  ( "slot",
+                    Bin
+                      ( Plus,
+                        Bin
+                          ( Shl,
+                            Bin (BAnd, Local "widx", Const mask),
+                            Const (Int64.of_int log2_record_size) ),
+                        Local "ring" ),
+                    [
+                      Store (8, field 0, Const (Record.code kind));
+                      Store (8, field 8, addr);
+                      Store (8, field 16, value);
+                      Store (8, field 24, Cycle);
+                    ] );
+                Store (8, ring t.widx.v_addr, Bin (Plus, Local "widx", Const 1L));
+                If
+                  ( Bin
+                      ( Ge,
+                        Bin (Minus, Local "widx", Load (8, ring t.flushed.v_addr)),
+                        Const (Int64.of_int (t.capacity - 1)) ),
+                    [ Scall (flush_syscall, [ Const t.buf_base ]) ],
+                    [] );
+              ] );
+        ] );
   ]
 
 (* A user marker: an application-defined event with an id and payload. *)

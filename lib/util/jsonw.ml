@@ -9,14 +9,15 @@
    output matters — the artifact cache's warm/cold differential compares
    rendered payloads byte for byte.  [pp] is the human-facing
    Format-based pretty printer.  The parser is a recursive-descent reader
-   sufficient for round-tripping our own output.  Integers only: nothing
-   in the toolkit emits floats on the wire (fixed-point fields are
-   documented at their emission sites). *)
+   sufficient for round-tripping our own output.  Nothing in the
+   toolkit emits floats on the wire (fixed-point fields are documented
+   at their emission sites); [Float] is for the benchmark reports. *)
 
 type t =
   | Null
   | Bool of bool
   | Int of int64
+  | Float of float  (** finite; written in the shortest form that reads back *)
   | String of string
   | List of t list
   | Obj of (string * t) list
@@ -24,6 +25,13 @@ type t =
 exception Parse_error of string
 
 (* --- compact writer ------------------------------------------------------- *)
+
+let float_repr f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
 let escape_to buf s =
   Buffer.add_char buf '"';
@@ -45,6 +53,7 @@ let rec write_to buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (Int64.to_string i)
+  | Float f -> Buffer.add_string buf (float_repr f)
   | String s -> escape_to buf s
   | List xs ->
       Buffer.add_char buf '[';
@@ -76,14 +85,15 @@ let rec pp fmt = function
   | Null -> Format.pp_print_string fmt "null"
   | Bool b -> Format.pp_print_bool fmt b
   | Int i -> Format.fprintf fmt "%Ld" i
+  | Float f -> Format.pp_print_string fmt (float_repr f)
   | String s -> pp_string fmt s
   | List xs ->
-      Format.fprintf fmt "[@[<hv>%a@]]"
+      Format.fprintf fmt "@[<hov 1>[%a]@]"
         (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",@ ") pp)
         xs
   | Obj kvs ->
-      let pp_kv fmt (k, v) = Format.fprintf fmt "%a:@ %a" pp_string k pp v in
-      Format.fprintf fmt "{@[<hv>%a@]}"
+      let pp_kv fmt (k, v) = Format.fprintf fmt "@[<hv 2>%a:@ %a@]" pp_string k pp v in
+      Format.fprintf fmt "@[<hv 1>{%a}@]"
         (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ",@ ") pp_kv)
         kvs
 
@@ -193,7 +203,16 @@ let rec parse_value st =
         | _ -> ()
       in
       digits ();
-      Int (Int64.of_string (String.sub st.src start (st.pos - start)))
+      let frac = peek st = Some '.' in
+      if frac then begin advance st; digits () end;
+      let exp = peek st = Some 'e' || peek st = Some 'E' in
+      if exp then begin
+        advance st;
+        if peek st = Some '-' || peek st = Some '+' then advance st;
+        digits ()
+      end;
+      let lit = String.sub st.src start (st.pos - start) in
+      if frac || exp then Float (float_of_string lit) else Int (Int64.of_string lit)
   | Some 't' ->
       st.pos <- st.pos + 4;
       Bool true

@@ -12,7 +12,9 @@
    - the store journal, modulo writes the instrumentation owns (the
      patch data area, and spill slots strictly below every stack
      position the original block ever occupies),
-   - CSRs, fcsr, the reservation, and the opaque-effect journal.
+   - CSRs, fcsr, the reservation, and the opaque-effect journal, modulo
+     the effects the manifest declares for the snippets (cycle reads,
+     the syscalls they raise).
 
    A trampoline call links through the trampoline continuation rather
    than the original return address; such a register mismatch is
@@ -64,16 +66,37 @@ let in_range lo hi a = Int64.compare a lo >= 0 && Int64.compare a hi < 0
 let excused_store (m : Manifest.t) ~sp_floor (s : Symstate.store) =
   let data_lo = m.Manifest.m_data_base in
   let data_hi = Int64.add data_lo (Int64.of_int m.Manifest.m_data_size) in
+  Sterm.within ~lo:data_lo ~hi:data_hi s.Symstate.st_addr (s.Symstate.st_width / 8)
+  ||
   match Sterm.split_addr s.Symstate.st_addr with
-  | None, c ->
-      in_range data_lo data_hi c
-      && in_range data_lo data_hi
-           (Int64.add c (Int64.of_int ((s.Symstate.st_width / 8) - 1)))
   | Some b, off ->
       Sterm.equal b (Symstate.x_init Riscv.Reg.sp)
       && Int64.compare (Int64.add off (Int64.of_int (s.Symstate.st_width / 8)))
            sp_floor
          <= 0
+  | None, _ -> false
+
+(* The snippet effects the entry's insertions declare: a cycle-CSR read
+   (rdcycle's csr_write of the unchanged value) and each raised syscall
+   (an ecall whose a7 is that number).  Only the rewritten side carries
+   them; anything else stays an observation. *)
+let declared_effect (e : Manifest.entry) =
+  let declared =
+    List.concat_map (fun i -> i.Manifest.mi_effects) e.Manifest.me_insertions
+  in
+  let cycle = 0xC00 in
+  fun (ef : Symstate.effect) ->
+    match (ef.Symstate.ef_name, ef.Symstate.ef_args) with
+    | "csr_write", [ Sterm.Const c; v ] ->
+        Int64.to_int c = cycle
+        && Sterm.equal v (Symstate.csr_init cycle)
+        && List.mem Codegen_api.Snippet.Reads_cycle declared
+    | "ecall", args -> (
+        match List.nth_opt args 7 with
+        | Some (Sterm.Const n) ->
+            List.mem (Codegen_api.Snippet.Raises (Int64.to_int n)) declared
+        | _ -> false)
+    | _ -> false
 
 (* --- state comparison ----------------------------------------------------- *)
 
@@ -114,8 +137,9 @@ let discharge_continuation ~config ~rw_code ~in_domain ~excused
       with Symexec.Unsupported _ | Symexec.Budget _ -> false)
   | _ -> false
 
-let compare_paths ~config ~(m : Manifest.t) ~excused ~rw_code ~tramp_domain
-    ~tramp_lo ~tramp_hi (po : Symexec.path) (pt : Symexec.path) : string list =
+let compare_paths ~config ~(m : Manifest.t) ~excused ~declared ~rw_code
+    ~tramp_domain ~tramp_lo ~tramp_hi (po : Symexec.path) (pt : Symexec.path) :
+    string list =
   let issues = ref [] in
   let add fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
   let so = po.Symexec.p_state and st = pt.Symexec.p_state in
@@ -180,19 +204,29 @@ let compare_paths ~config ~(m : Manifest.t) ~excused ~rw_code ~tramp_domain
             (Sterm.to_string a.Symstate.st_value)
             (Sterm.to_string b.Symstate.st_value))
       (List.combine os ts);
-  (* opaque effects (csr_write, fences, reservations, ecall) *)
+  (* opaque effects (csr_write, fences, reservations, ecall): the
+     original journal must be the rewritten one minus declared snippet
+     effects — matched in order, so a relocated instruction's own cycle
+     read still has to line up with the original's *)
+  let same (a : Symstate.effect) (b : Symstate.effect) =
+    a.Symstate.ef_name = b.Symstate.ef_name
+    && List.length a.Symstate.ef_args = List.length b.Symstate.ef_args
+    && List.for_all2 Sterm.equal a.Symstate.ef_args b.Symstate.ef_args
+  in
   let oe = Symstate.effect_journal so and te = Symstate.effect_journal st in
-  if List.length oe <> List.length te then
-    add "effect count differs: %d vs %d" (List.length oe) (List.length te)
-  else
-    List.iteri
-      (fun k ((a : Symstate.effect), (b : Symstate.effect)) ->
-        if
-          a.Symstate.ef_name <> b.Symstate.ef_name
-          || List.length a.Symstate.ef_args <> List.length b.Symstate.ef_args
-          || not (List.for_all2 Sterm.equal a.Symstate.ef_args b.Symstate.ef_args)
-        then add "effect %d differs: %s vs %s" k a.Symstate.ef_name b.Symstate.ef_name)
-      (List.combine oe te);
+  let rec align k oe te =
+    match (oe, te) with
+    | [], [] -> ()
+    | o :: os, t :: ts when same o t -> align (k + 1) os ts
+    | _, t :: ts when declared t -> align k oe ts
+    | (o : Symstate.effect) :: _, (t : Symstate.effect) :: _ ->
+        add "effect %d differs: %s vs %s" k o.Symstate.ef_name t.Symstate.ef_name
+    | _ ->
+        add "effect count differs: %d vs %d (after excusing declared snippet effects)"
+          (List.length (Symstate.effect_journal so))
+          (List.length (List.filter (fun e -> not (declared e)) (Symstate.effect_journal st)))
+  in
+  align 0 oe te;
   List.rev !issues
 
 (* --- the site check ------------------------------------------------------- *)
@@ -252,6 +286,7 @@ let check_site ?(config = default_config) ~(cfg : Parse_api.Cfg.t)
             ~start:tramp_start Symstate.init
         in
         let excused = excused_regs e in
+        let declared = declared_effect e in
         let issues = ref [] in
         (* every consistent orig/tramp path pair must agree *)
         List.iter
@@ -272,7 +307,7 @@ let check_site ?(config = default_config) ~(cfg : Parse_api.Cfg.t)
                 (fun pt ->
                   issues :=
                     List.rev_append
-                      (compare_paths ~config ~m:manifest ~excused ~rw_code
+                      (compare_paths ~config ~m:manifest ~excused ~declared ~rw_code
                          ~tramp_domain ~tramp_lo ~tramp_hi po pt)
                       !issues)
                 mates)

@@ -83,6 +83,40 @@ let split_addr = function
   | Bin (Ir.Add, b, Const c) -> (Some b, c)
   | t -> (Some t, 0L)
 
+(* The values a term can take, as an inclusive non-negative interval,
+   when its shape bounds it: a masked value [x & m] lies in [0, m], a
+   left shift or an added constant moves the interval, a sum adds two.
+   This is what places a ring-slot address [c + ((widx & m) << k)] in
+   [c, c + (m << k)] whatever widx holds. *)
+let rec bounds = function
+  | Const c when Int64.compare c 0L >= 0 -> Some (c, c)
+  | Bin (Ir.And, x, Const m) when Int64.compare m 0L >= 0 -> (
+      match bounds x with
+      | Some (lo, hi) when Int64.compare hi m <= 0 -> Some (lo, hi)
+      | _ -> Some (0L, m))
+  | Bin (Ir.Shl, x, Const k) when Int64.compare k 0L >= 0 && Int64.compare k 62L <= 0 -> (
+      let k = Int64.to_int k in
+      match bounds x with
+      | Some (lo, hi) when Int64.compare hi (Int64.shift_right Int64.max_int k) <= 0 ->
+          Some (Int64.shift_left lo k, Int64.shift_left hi k)
+      | _ -> None)
+  | Bin (Ir.Add, x, y) -> (
+      match (bounds x, bounds y) with
+      | Some (l1, h1), Some (l2, h2) ->
+          let h = Int64.add h1 h2 in
+          if Int64.compare h h1 < 0 then None else Some (Int64.add l1 l2, h)
+      | _ -> None)
+  | Zext (_, n) when n < 63 -> Some (0L, Int64.pred (Int64.shift_left 1L n))
+  | _ -> None
+
+(* Does a [bytes]-wide access at [addr] provably stay inside [lo, hi)? *)
+let within ~lo ~hi addr bytes =
+  match bounds addr with
+  | Some (a, b) ->
+      Int64.compare a lo >= 0
+      && Int64.compare (Int64.add b (Int64.of_int bytes)) hi <= 0
+  | None -> false
+
 (* Two accesses that provably do not overlap: same symbolic base with
    non-overlapping offset windows, or both absolute.  Anything else —
    in particular two distinct symbolic bases — is treated as a possible
@@ -111,6 +145,13 @@ let rec read width m addr =
         if width >= 64 then value else zext value width
       else if disjoint (a, w / 8) (addr, width / 8) then read width prev addr
       else Sel (width, m, addr)
+
+(* The chain without the stores [drop] selects. *)
+let rec filter_mem drop = function
+  | Mem_init -> Mem_init
+  | Store { prev; width; addr; value } ->
+      let prev = filter_mem drop prev in
+      if drop width addr then prev else Store { prev; width; addr; value }
 
 (* --- rendering ----------------------------------------------------------- *)
 

@@ -56,6 +56,25 @@ let get_csr st i =
 
 let sp = Riscv.Reg.sp
 
+(* Raising sp to entry-sp + [off] pops the stack below it: the psABI
+   has no red zone, so what lies there is dead (an interrupt may
+   clobber it) and no later access can observe it.  Stores wholly below
+   the new sp leave the journal and the load-visible chain — the frames
+   a snippet pushes for a syscall or a spill are gone once it returns,
+   so they neither count as observations nor shadow later loads. *)
+let pop_below st off =
+  let dead width addr =
+    match Sterm.split_addr addr with
+    | Some b, o when Sterm.equal b (x_init sp) ->
+        Int64.compare (Int64.add o (Int64.of_int (width / 8))) off <= 0
+    | _ -> false
+  in
+  {
+    st with
+    mem = Sterm.filter_mem dead st.mem;
+    stores = List.filter (fun s -> not (dead s.st_width s.st_addr)) st.stores;
+  }
+
 let set_x st i v =
   if i = 0 then st
   else
@@ -66,6 +85,11 @@ let set_x st i v =
          sp position can be excused by the checker *)
       match Sterm.split_addr v with
       | Some b, off when Sterm.equal b (x_init sp) ->
+          let st =
+            match st.sp_off with
+            | Some old when Int64.compare off old > 0 -> pop_below st off
+            | _ -> st
+          in
           {
             st with
             sp_off = Some off;
@@ -77,22 +101,15 @@ let set_f st i v = { st with fregs = Imap.add i v st.fregs }
 let set_csr st i v = { st with csrs = Imap.add i v st.csrs }
 
 (* A store lands in the journal always; it joins the load-visible chain
-   only when it is not provably private to the instrumentation (the
-   patch data area).  Keeping private writes out of the chain means both
+   only when it is not provably private to the instrumentation (inside
+   the patch data area for every value its address can take — a
+   constant, or a bounded ring-slot address, see [Sterm.bounds]).  Keeping private writes out of the chain means both
    sides of an equivalence query resolve loads through identical chains
    even though only one side carries snippet bookkeeping writes. *)
 let store ~private_ranges st width addr value =
   let journal = { st_width = width; st_addr = addr; st_value = value } in
   let in_private =
-    match Sterm.split_addr addr with
-    | None, c ->
-        List.exists
-          (fun (lo, hi) ->
-            Int64.unsigned_compare c lo >= 0
-            && Int64.unsigned_compare (Int64.add c (Int64.of_int (width / 8))) hi
-               <= 0)
-          private_ranges
-    | _ -> false
+    List.exists (fun (lo, hi) -> Sterm.within ~lo ~hi addr (width / 8)) private_ranges
   in
   let mem =
     if in_private then st.mem

@@ -101,21 +101,20 @@ let span_insns img (m : Manifest.t) (e : Manifest.entry) =
 (* Instrument [func]'s entry with a counter bump and rewrite; done twice
    (the rewrite is deterministic) so the defect can be poked into an
    independent image. *)
-let rewrite_once ?use_dead_regs st cfg func =
+let rewrite_once ?use_dead_regs ?(snippet = fun c -> [ Codegen_api.Snippet.incr c ])
+    st cfg func =
   let rw = Rewriter.create ~tramp_base ?use_dead_regs st cfg in
   let c = Rewriter.allocate_var rw "c" 8 in
   let f = List.find (fun f -> f.Cfg.f_name = func) (Cfg.functions cfg) in
-  Rewriter.insert rw
-    (Option.get (Point.func_entry cfg f))
-    [ Codegen_api.Snippet.incr c ];
+  Rewriter.insert rw (Option.get (Point.func_entry cfg f)) (snippet c);
   let img = Rewriter.rewrite rw in
   (img, Option.get (Rewriter.manifest rw))
 
-let make_case ~name ~desc ?use_dead_regs ~funcs ~func items mutate =
+let make_case ~name ~desc ?use_dead_regs ?snippet ~funcs ~func items mutate =
   let st = build_symtab ~funcs items in
   let cfg = Parser.parse st in
-  let healthy, m = rewrite_once ?use_dead_regs st cfg func in
-  let bad, _ = rewrite_once ?use_dead_regs st cfg func in
+  let healthy, m = rewrite_once ?use_dead_regs ?snippet st cfg func in
+  let bad, _ = rewrite_once ?use_dead_regs ?snippet st cfg func in
   let e = List.hd m.Manifest.m_entries in
   mutate bad m e;
   {
@@ -236,6 +235,12 @@ let scratch_live_out () =
       "the spill-restore loads swap their slots, so borrowed registers \
        leave the snippet holding each other's values"
     ~use_dead_regs:false ~funcs:[ ("lv", "lv") ] ~func:"lv"
+    (* c := (c ^ 5000) + (c ^ 5000) needs three scratch registers, so
+       two borrowed ones besides t1 (t0, t2) are restored *)
+    ~snippet:(fun c ->
+      let open Codegen_api.Snippet in
+      let x = Bin (BXor, Var c, Const 5000L) in
+      [ Set (c, Bin (Plus, x, x)) ])
     [
       Asm.Label "lv";
       Asm.Insn (Build.add Reg.a0 Reg.a0 Reg.a1);

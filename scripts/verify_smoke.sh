@@ -2,9 +2,12 @@
 # verify-smoke: the symbolic tier's CI gate.
 #
 #   1. `rvverify smoke`: instrument + rewrite every built-in minicc
-#      mutatee and symbolically prove every patch site; then require
-#      every seeded wrong-rewrite class to pass the structural verifier
-#      but be disproved symbolically
+#      mutatee and symbolically prove every patch site; trace matmul's
+#      multiply with TraceAPI block records (every site must prove) and
+#      memory records (no site may fail; an inconclusive one must name
+#      the budget it ran out of); then require every seeded
+#      wrong-rewrite class to pass the structural verifier but be
+#      disproved symbolically
 #   2. file-based round trip: rewrite fib on disk with a manifest (its
 #      --stats table must show the parse and rewrite spans), then
 #      `rvverify verify` and `rvlint verify --symbolic` must both prove

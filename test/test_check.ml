@@ -112,12 +112,50 @@ let test_roundtrip_transparent () =
         (Int64.compare r.Roundtrip.rt_counter 0L > 0))
     [ "fib"; "calls" ]
 
+let test_roundtrip_trace () =
+  List.iter
+    (fun (name, mode, use_dead_regs) ->
+      let r = Roundtrip.check_trace_builtin ~use_dead_regs ~mode name in
+      (match r.Roundtrip.rt_diffs with
+      | [] -> ()
+      | d :: _ -> Alcotest.failf "%s: %s" r.Roundtrip.rt_name d);
+      checkb
+        (Printf.sprintf "%s delivered records (%Ld)" r.Roundtrip.rt_name r.Roundtrip.rt_counter)
+        true
+        (Int64.compare r.Roundtrip.rt_counter 0L > 0))
+    [ ("fib", `Coverage, true); ("fib", `Mem, true); ("fib", `Mem, false);
+      ("calls", `Coverage, true); ("calls", `Mem, true); ("matmul", `Mem, true) ]
+
 let test_roundtrip_clock_note () =
   (* matmul reads the cycle CSR: its stdout legitimately observes the
      instrumentation overhead, which must land as a note, not a diff *)
   let r = Roundtrip.check_builtin "matmul" in
   checkb "matmul transparent modulo time" true (r.Roundtrip.rt_diffs = []);
   checkb "observed-time note recorded" true (r.Roundtrip.rt_notes <> [])
+
+(* --- codegen differential ---------------------------------------------------- *)
+
+let test_codegen_differential () =
+  let s = Codegendiff.sweep ~seed:1L ~count:600 in
+  (match s.Codegendiff.s_diverged with
+  | [] -> ()
+  | (index, msg) :: _ -> Alcotest.failf "seed 1 index %d: %s" index msg);
+  checkb
+    (Printf.sprintf "most cases run (%d agree, %d skipped)" s.Codegendiff.s_agreed
+       s.Codegendiff.s_skipped)
+    true
+    (s.Codegendiff.s_agreed >= 500)
+
+(* The reference evaluator itself: andi sign-extends, so x & 0xfff and
+   x & 0x7ff differ for an x with bit 11 set above the mask. *)
+let test_codegen_reference () =
+  let open Codegen_api.Snippet in
+  let check64 = Alcotest.(check int64) in
+  check64 "x & 0xfff" 0xabcL (Codegendiff.binop BAnd 0x12abcL 0xfffL);
+  check64 "shift by 64 is by 0" 5L (Codegendiff.binop Shl 5L 64L);
+  check64 "div by zero" (-1L) (Codegendiff.binop Divide 7L 0L);
+  check64 "rem by zero" 7L (Codegendiff.binop Mod 7L 0L);
+  check64 "min / -1" Int64.min_int (Codegendiff.binop Divide Int64.min_int (-1L))
 
 let () =
   Alcotest.run "check"
@@ -141,5 +179,12 @@ let () =
             test_roundtrip_transparent;
           Alcotest.test_case "clock-reading mutatee" `Quick
             test_roundtrip_clock_note;
+          Alcotest.test_case "trace records match the reference" `Quick
+            test_roundtrip_trace;
+        ] );
+      ( "codegen",
+        [
+          Alcotest.test_case "differential sweep" `Quick test_codegen_differential;
+          Alcotest.test_case "reference semantics" `Quick test_codegen_reference;
         ] );
     ]

@@ -193,25 +193,26 @@ let test_before_insn_point () =
   check64 "addi executed 4 times" 4L (read_var p c)
 
 
+(* a While snippet: on each call of work, add a decreasing series
+   5+4+3+2+1 = 15 into acc via an instrumentation-side loop *)
+let while_snippet ~acc ~k =
+  [
+    Snippet.Set (k, Snippet.Const 5L);
+    Snippet.While
+      ( Snippet.Bin (Snippet.Gt, Snippet.Var k, Snippet.Const 0L),
+        [
+          Snippet.Set (acc, Snippet.Bin (Snippet.Plus, Snippet.Var acc, Snippet.Var k));
+          Snippet.Set (k, Snippet.Bin (Snippet.Minus, Snippet.Var k, Snippet.Const 1L));
+        ] );
+  ]
+
 let test_while_snippet () =
-  (* a While snippet: on each call of work, add a decreasing series
-     5+4+3+2+1 = 15 into acc via an instrumentation-side loop *)
   let st, cfg, _ = parse_mutatee () in
   let rw = Rewriter.create st cfg in
   let acc = Rewriter.allocate_var rw "acc" 8 in
   let k = Rewriter.allocate_var rw "k" 8 in
   let work = find_func cfg "work" in
-  Rewriter.insert rw
-    (Option.get (Point.func_entry cfg work))
-    [
-      Snippet.Set (k, Snippet.Const 5L);
-      Snippet.While
-        ( Snippet.Bin (Snippet.Gt, Snippet.Var k, Snippet.Const 0L),
-          [
-            Snippet.Set (acc, Snippet.Bin (Snippet.Plus, Snippet.Var acc, Snippet.Var k));
-            Snippet.Set (k, Snippet.Bin (Snippet.Minus, Snippet.Var k, Snippet.Const 1L));
-          ] );
-    ];
+  Rewriter.insert rw (Option.get (Point.func_entry cfg work)) (while_snippet ~acc ~k);
   let img = Rewriter.rewrite rw in
   let stop, _, p = run_image img in
   checki "exit unchanged" expected_exit (exit_code stop);
@@ -537,6 +538,119 @@ let test_scratch_exhaustion () =
     | exception Codegen.Codegen_error _ -> true
     | _ -> false)
 
+(* [Snippet.regs_needed] is exact: the lowering succeeds with exactly
+   that many scratch registers, is refused one fewer, and writes
+   exactly that many distinct ones. *)
+let scratch_pool = Reg.temp_regs @ List.map Reg.x [ 18; 19; 20; 21; 22 ] (* s2-s6 *)
+
+let written scratch items =
+  List.concat_map
+    (function
+      | Asm.Insn i -> Insn.defs i
+      | Asm.Li (rd, _) | Asm.La (rd, _) -> [ rd ]
+      | _ -> [])
+    items
+  |> List.filter (fun r -> List.mem r scratch)
+  |> List.sort_uniq compare
+
+let check_exact name ~want stmts =
+  let n = Snippet.regs_needed stmts in
+  checki (name ^ ": regs_needed") want n;
+  let pool = List.filter (fun r -> not (List.mem r (Snippet.reads stmts))) scratch_pool in
+  let gen k =
+    let scratch = List.filteri (fun j _ -> j < k) pool in
+    (scratch, Codegen.generate (Codegen.create_ctx ~profile:Ext.rv64gc ~scratch ()) stmts)
+  in
+  let scratch, items = gen n in
+  checki (name ^ ": distinct scratch written") n (List.length (written scratch items));
+  if n > 0 then
+    checkb (name ^ ": one fewer is refused") true
+      (match gen (n - 1) with exception Codegen.Codegen_error _ -> true | _ -> false)
+
+let test_regs_needed_exact () =
+  let st, cfg, _ = parse_mutatee () in
+  let rw = Rewriter.create st cfg in
+  let acc = Rewriter.allocate_var rw "acc" 8 in
+  let k = Rewriter.allocate_var rw "k" 8 in
+  check_exact "incr" ~want:2 [ Snippet.incr acc ];
+  check_exact "while" ~want:2 (while_snippet ~acc ~k);
+  let ring = Trace_api.Ring.create rw ~capacity:1024 in
+  List.iter
+    (fun (kind, addr, value) ->
+      check_exact
+        ("ring " ^ Trace_api.Record.kind_name kind)
+        ~want:4
+        (Trace_api.Ring.emit ring ~kind ~addr ~value))
+    Snippet.
+      [
+        (Trace_api.Record.Block, Const 0x10230L, Const 0x10200L);
+        (Trace_api.Record.Call, Const 0x10400L, Const 0x10234L);
+        (Trace_api.Record.Ret, Const 0x10200L, Const 0x1029cL);
+        (Trace_api.Record.Mem_read, Bin (Plus, Reg Reg.sp, Const 40L), Const 8L);
+        (Trace_api.Record.Mem_write, Bin (Plus, Reg Reg.a5, Const (-2048L)), Const 4L);
+        (Trace_api.Record.Marker, Const 7L, Param 0);
+      ]
+
+(* The lowered hot paths: the counter is lui; ld; addi; sd and a memory
+   record's no-flush path is 19 instructions. *)
+let test_hot_path_listing () =
+  let st, cfg, _ = parse_mutatee () in
+  let rw = Rewriter.create st cfg in
+  let c = Rewriter.allocate_var rw "c" 8 in
+  let ring = Trace_api.Ring.create rw ~capacity:1024 in
+  let lower stmts =
+    let scratch = List.filteri (fun j _ -> j < Snippet.regs_needed stmts) scratch_pool in
+    Codegen.generate (Codegen.create_ctx ~profile:Ext.rv64gc ~scratch ()) stmts
+  in
+  let mnemonic (i : Insn.t) =
+    if i.Insn.op = Op.ADDI && i.Insn.rs1 = 0 then "li" else Op.mnemonic i.Insn.op
+  in
+  let ops items =
+    List.concat_map
+      (function
+        | Asm.Insn i -> [ mnemonic i ]
+        | Asm.Li (rd, v) -> List.map mnemonic (Build.li rd v)
+        | Asm.Br (op, _, _, _) -> [ Op.mnemonic op ]
+        | _ -> [])
+      items
+  in
+  Alcotest.(check (list string))
+    "counter" [ "lui"; "ld"; "addi"; "sd" ]
+    (ops (lower [ Snippet.incr c ]));
+  let record =
+    lower
+      (Trace_api.Ring.emit ring ~kind:Trace_api.Record.Mem_read
+         ~addr:Snippet.(Bin (Plus, Reg Reg.sp, Const 40L))
+         ~value:(Snippet.Const 8L))
+  in
+  let rec upto_branch = function
+    | [] -> []
+    | x :: rest -> if String.length x > 1 && x.[0] = 'b' then [ x ] else x :: upto_branch rest
+  in
+  Alcotest.(check (list string))
+    "mem record hot path"
+    [ "lui"; "ld"; "andi"; "slli"; "add"; "li"; "sd"; "addi"; "sd"; "li"; "sd";
+      "csrrs"; "sd"; "addi"; "sd"; "ld"; "sub"; "li"; "blt" ]
+    (upto_branch (ops record))
+
+(* A constant address just below 2^31: its lui high part would be
+   0x80000 (sign-extended to 0xffffffff80000000), so it must not take
+   the lui + folded-offset form. *)
+let test_high_constant_address () =
+  let v = { Snippet.v_name = "hi"; v_addr = 0x7FFFF800L; v_size = 8 } in
+  let items =
+    Codegen.generate
+      (Codegen.create_ctx ~profile:Ext.rv64gc ~scratch:[ Reg.t0; Reg.t1 ] ())
+      [ Snippet.Set (v, Snippet.Const 5L) ]
+  in
+  let m = Rvsim.Machine.create () in
+  let r = Asm.assemble ~base:0x10000L ~symbols:(fun _ -> None) (items @ [ Asm.Insn Build.ebreak ]) in
+  Rvsim.Mem.write_bytes m.Rvsim.Machine.mem 0x10000L r.Asm.code;
+  ignore (Rvsim.Machine.add_code_region m ~base:0x10000L ~size:(Bytes.length r.Asm.code));
+  m.Rvsim.Machine.pc <- 0x10000L;
+  ignore (Rvsim.Machine.run ~max_steps:100 m);
+  check64 "stored at 0x7ffff800" 5L (Rvsim.Mem.read64 m.Rvsim.Machine.mem 0x7FFFF800L)
+
 let () =
   Alcotest.run "patch"
     [
@@ -582,5 +696,8 @@ let () =
         [
           Alcotest.test_case "extension awareness" `Quick test_extension_awareness;
           Alcotest.test_case "scratch exhaustion" `Quick test_scratch_exhaustion;
+          Alcotest.test_case "regs_needed exact" `Quick test_regs_needed_exact;
+          Alcotest.test_case "hot-path listing" `Quick test_hot_path_listing;
+          Alcotest.test_case "address below 2^31" `Quick test_high_constant_address;
         ] );
     ]

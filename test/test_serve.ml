@@ -84,7 +84,13 @@ let test_json_roundtrip () =
   let s = J.to_string v in
   Alcotest.(check bool) "roundtrip" true (J.of_string s = v);
   (* compact output is stable: encode(decode(s)) = s *)
-  Alcotest.(check string) "stable" s (J.to_string (J.of_string s))
+  Alcotest.(check string) "stable" s (J.to_string (J.of_string s));
+  (* floats (benchmark reports) read back exactly, in short form *)
+  let f = J.List [ J.Float 584.78; J.Float 25.0; J.Float (-0.04); J.Float 1e-7 ] in
+  Alcotest.(check string) "float text" "[584.78,25.0,-0.04,1e-07]" (J.to_string f);
+  Alcotest.(check bool) "float roundtrip" true (J.of_string (J.to_string f) = f);
+  Alcotest.(check string) "pretty = compact modulo layout" (J.to_string f)
+    (J.to_string (J.of_string (J.to_string_pretty f)))
 
 let test_json_errors () =
   List.iter

@@ -62,6 +62,26 @@ let test_term_memory () =
     | Sterm.Sel _ -> true
     | _ -> false)
 
+let test_term_bounds () =
+  let open Sailsem.Ir in
+  let widx = Sterm.Sel (64, Sterm.Mem_init, Sterm.Const 0x301000L) in
+  let slot k =
+    Sterm.binop Add
+      (Sterm.binop Shl (Sterm.binop And widx (Sterm.Const 1023L)) (Sterm.Const 5L))
+      (Sterm.Const (Int64.add 0x301020L (Int64.of_int k)))
+  in
+  checkb "ring slot bounded" true
+    (Sterm.bounds (slot 24) = Some (0x301038L, Int64.add 0x301038L (Int64.of_int (1023 * 32))));
+  checkb "last slot's last word inside the ring" true
+    (Sterm.within ~lo:0x301000L ~hi:(Int64.add 0x301020L 32768L) (slot 24) 8);
+  checkb "one byte past the ring is not" false
+    (Sterm.within ~lo:0x301000L ~hi:(Int64.add 0x301020L 32767L) (slot 24) 8);
+  checkb "an unmasked index is unbounded" true
+    (Sterm.bounds (Sterm.binop Add (Sterm.binop Shl widx (Sterm.Const 5L)) (Sterm.Const 8L))
+    = None);
+  checkb "a negative mask is not a bound" true
+    (Sterm.bounds (Sterm.binop And widx (Sterm.Const (-8L))) = None)
+
 (* --- symbolic executor on straight-line code ------------------------------ *)
 
 let exec_items items =
@@ -108,6 +128,35 @@ let test_symexec_branch_forks () =
       ]
   in
   checki "symbolic branch forks into two paths" 2 (List.length r.Symexec.paths)
+
+(* Raising sp pops the frame below it: those stores are dead, so they
+   leave the journal and stop shadowing later loads of other memory. *)
+let test_symexec_frame_pop () =
+  let open Asm in
+  let r =
+    exec_items
+      [
+        Insn (Build.sd Reg.a3 8 Reg.sp);
+        Insn (Build.addi Reg.sp Reg.sp (-16));
+        Insn (Build.sd Reg.a0 0 Reg.sp);
+        Insn (Build.ld Reg.a0 0 Reg.sp);
+        Insn (Build.addi Reg.sp Reg.sp 16);
+        Insn (Build.lui Reg.t0 0x300);
+        Insn (Build.ld Reg.a2 0 Reg.t0);
+      ]
+  in
+  match r.Symexec.paths with
+  | [ p ] ->
+      let st = p.Symexec.p_state in
+      checki "only the store above sp stays journaled" 1
+        (List.length (Symstate.store_journal st));
+      checkb "a0 restored from the frame" true
+        (Sterm.equal (Symstate.get_x st Reg.a0) (Sterm.Init "x10"));
+      checkb "an absolute load only sees the live store" true
+        (match Symstate.get_x st Reg.a2 with
+        | Sterm.Sel (64, Sterm.Store { prev = Sterm.Mem_init; _ }, _) -> true
+        | _ -> false)
+  | l -> Alcotest.failf "expected 1 path, got %d" (List.length l)
 
 let test_symexec_store_load () =
   let open Asm in
@@ -228,6 +277,74 @@ let test_whole_program_rewrite_proves () =
   checki "main instrumented: no failures" 0 r.Check.r_failed;
   checki "main instrumented: no timeouts" 0 r.Check.r_unknown
 
+(* TraceAPI record snippets on matmul's multiply: ring-slot stores lie
+   in the data area whatever widx holds, the cycle read and the flush
+   ecall are declared, and the syscall frame is dead once popped. *)
+let traced opts =
+  let compiled = Minicc.Driver.compile (Minicc.Programs.matmul ~n:8 ~reps:1) in
+  let b = Core.open_image compiled.Minicc.Driver.image in
+  let m = Core.create_mutator b in
+  let ring = Trace_api.Ring.create m.Core.rw ~capacity:1024 in
+  ignore
+    (Trace_api.Tracer.instrument m.Core.rw b.Core.cfg ~ring ~funcs:[ "multiply" ] opts);
+  let rw = Core.rewrite m in
+  let manifest = Option.get (Core.manifest m) in
+  checki "structural verifier: no diagnostics" 0
+    (List.length (Lint_api.Verifier.verify ~orig:b.Core.symtab b.Core.cfg ~manifest ~rewritten:rw));
+  Check.check_manifest ~orig:b.Core.symtab b.Core.cfg ~manifest ~rewritten:rw
+
+let test_bb_trace_proves () =
+  let r = traced Trace_api.Tracer.coverage_only in
+  checki "bb-trace sites" 10 (List.length r.Check.r_sites);
+  checki "bb-trace sites proved" 10 r.Check.r_ok
+
+let test_mem_trace_verdicts () =
+  let r = traced Trace_api.Tracer.mem_only in
+  checki "mem-trace sites" 10 (List.length r.Check.r_sites);
+  checki "mem-trace: no failures" 0 r.Check.r_failed;
+  List.iter
+    (fun (s : Equiv.site) ->
+      match s.Equiv.s_verdict with
+      | Equiv.Unknown msg ->
+          checkb ("inconclusive only on a budget: " ^ msg) true
+            (String.length msg > 8 && String.sub msg 0 8 = "timeout:")
+      | _ -> ())
+    r.Check.r_sites;
+  checki "mem-trace sites proved" 10 r.Check.r_ok
+
+(* An undeclared cycle read is still an observation. *)
+let test_undeclared_effect_fails () =
+  let compiled = Minicc.Driver.compile (Minicc.Programs.matmul ~n:8 ~reps:1) in
+  let b = Core.open_image compiled.Minicc.Driver.image in
+  let m = Core.create_mutator b in
+  let v = Core.create_counter m "stamp" in
+  Core.insert m (Core.at_entry b "multiply") [ Snippet.Set (v, Snippet.Cycle) ];
+  let rw = Core.rewrite m in
+  let manifest = Option.get (Core.manifest m) in
+  let strip (mf : Manifest.t) =
+    {
+      mf with
+      Manifest.m_entries =
+        List.map
+          (fun (e : Manifest.entry) ->
+            {
+              e with
+              Manifest.me_insertions =
+                List.map
+                  (fun i -> { i with Manifest.mi_effects = [] })
+                  e.Manifest.me_insertions;
+            })
+          mf.Manifest.m_entries;
+    }
+  in
+  let ok = Check.check_manifest ~orig:b.Core.symtab b.Core.cfg ~manifest ~rewritten:rw in
+  checki "declared cycle read proves" 1 ok.Check.r_ok;
+  let bad =
+    Check.check_manifest ~orig:b.Core.symtab b.Core.cfg ~manifest:(strip manifest)
+      ~rewritten:rw
+  in
+  checki "undeclared cycle read fails" 1 bad.Check.r_failed
+
 (* --- seeded wrong-rewrite corpus ------------------------------------------ *)
 
 (* The tier's reason to exist: each case passes the structural verifier
@@ -270,18 +387,23 @@ let () =
         [
           Alcotest.test_case "folding" `Quick test_term_fold;
           Alcotest.test_case "memory" `Quick test_term_memory;
+          Alcotest.test_case "bounds" `Quick test_term_bounds;
         ] );
       ( "symexec",
         [
           Alcotest.test_case "straightline" `Quick test_symexec_straightline;
           Alcotest.test_case "branch-forks" `Quick test_symexec_branch_forks;
           Alcotest.test_case "store-load" `Quick test_symexec_store_load;
+          Alcotest.test_case "frame-pop" `Quick test_symexec_frame_pop;
         ] );
       ( "equiv",
         [
           Alcotest.test_case "healthy-rewrite" `Quick test_healthy_rewrite_proves;
           Alcotest.test_case "healthy-spill" `Quick test_healthy_spill_rewrite_proves;
           Alcotest.test_case "healthy-main" `Quick test_whole_program_rewrite_proves;
+          Alcotest.test_case "bb-trace" `Quick test_bb_trace_proves;
+          Alcotest.test_case "mem-trace" `Quick test_mem_trace_verdicts;
+          Alcotest.test_case "undeclared-effect" `Quick test_undeclared_effect_fails;
         ] );
       ("wrongs", wrongs_cases);
     ]
