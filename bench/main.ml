@@ -134,31 +134,6 @@ let table_4_3 () =
 (* TraceAPI: tracing overhead (bb-count vs bb-trace vs mem-trace)       *)
 (* ------------------------------------------------------------------ *)
 
-(* Run matmul with TraceAPI points planted in multiply; the mutatee
-   still times its own call loop, so the simulated elapsed ns includes
-   the record stores, the overflow checks and the flush syscalls. *)
-let rv_traced (s : rv_setup) (opts : Trace_api.Tracer.opts) :
-    int64 * int * int =
-  let m = Core.create_mutator s.binary in
-  let ring = Trace_api.Ring.create m.Core.rw ~capacity:1024 in
-  let _ =
-    Trace_api.Tracer.instrument m.Core.rw s.binary.Core.cfg ~ring
-      ~funcs:[ "multiply" ] opts
-  in
-  let img = Core.rewrite m in
-  let p = Rvsim.Loader.load img in
-  let sink = Trace_api.Sink.create ring in
-  Trace_api.Sink.install sink p.Rvsim.Loader.os;
-  match Rvsim.Loader.run p with
-  | Rvsim.Machine.Exited 0, out ->
-      Trace_api.Sink.drain sink p.Rvsim.Loader.machine;
-      ( Int64.of_string (String.trim out),
-        Trace_api.Sink.n_records sink,
-        Trace_api.Sink.flushes sink )
-  | stop, _ ->
-      Format.kasprintf failwith "traced mutatee failed: %a"
-        Rvsim.Machine.pp_stop stop
-
 (* Per-record attribution of the instrumentation overhead in guest
    cycles.  The instrumented run retires every instruction under a trace
    hook, and each one is charged by where it sits:
@@ -181,6 +156,9 @@ let rv_traced (s : rv_setup) (opts : Trace_api.Tracer.opts) :
    model's sum over retired instructions).  The hot path is the snippet
    code minus the flush path. *)
 type attribution = {
+  at_ns : int64; (* the mutatee's own timing of its call loop *)
+  at_records : int; (* ring records delivered (0 for counters) *)
+  at_flushes : int;
   at_execs : int; (* snippet executions (= records for a ring) *)
   at_cycles : int64; (* whole run *)
   at_instret : int64;
@@ -196,9 +174,8 @@ let attribute (s : rv_setup) ~base_cycles
   let img = Core.rewrite m in
   let mf = Option.get (Core.manifest m) in
   let p = Rvsim.Loader.load img in
-  Option.iter
-    (fun r -> Trace_api.Sink.install (Trace_api.Sink.create r) p.Rvsim.Loader.os)
-    ring;
+  let sink = Option.map Trace_api.Sink.create ring in
+  Option.iter (fun k -> Trace_api.Sink.install k p.Rvsim.Loader.os) sink;
   let counts : (int64, int ref * Riscv.Insn.t) Hashtbl.t = Hashtbl.create 1024 in
   let mach = p.Rvsim.Loader.machine in
   mach.Rvsim.Machine.trace <-
@@ -207,11 +184,16 @@ let attribute (s : rv_setup) ~base_cycles
         match Hashtbl.find_opt counts pc with
         | Some (c, _) -> incr c
         | None -> Hashtbl.replace counts pc (ref 1, insn));
-  (match Rvsim.Loader.run p with
-  | Rvsim.Machine.Exited 0, _ -> ()
-  | stop, _ ->
-      Format.kasprintf failwith "attributed mutatee failed: %a"
-        Rvsim.Machine.pp_stop stop);
+  (* the mutatee times its own call loop, so the simulated elapsed ns
+     includes the record stores, the overflow checks and the flushes *)
+  let ns =
+    match Rvsim.Loader.run p with
+    | Rvsim.Machine.Exited 0, out -> Int64.of_string (String.trim out)
+    | stop, _ ->
+        Format.kasprintf failwith "instrumented mutatee failed: %a"
+          Rvsim.Machine.pp_stop stop
+  in
+  Option.iter (fun k -> Trace_api.Sink.drain k mach) sink;
   let cost (i : Riscv.Insn.t) = mach.Rvsim.Machine.model.Rvsim.Cost.cost i.Riscv.Insn.op in
   let woven = Patch_api.Rewriter.woven m.Core.rw in
   let springboards = Hashtbl.create 64 and block_ends = Hashtbl.create 64 in
@@ -317,6 +299,9 @@ let attribute (s : rv_setup) ~base_cycles
       "relocated_code" ]
   in
   {
+    at_ns = ns;
+    at_records = Option.fold ~none:0 ~some:Trace_api.Sink.n_records sink;
+    at_flushes = Option.fold ~none:0 ~some:Trace_api.Sink.flushes sink;
     at_execs = !execs;
     at_cycles = mach.Rvsim.Machine.cycles;
     at_instret = mach.Rvsim.Machine.instret;
@@ -359,26 +344,6 @@ let trace_overhead ?(json = "BENCH_trace.json") () =
   print_endline "\n== TraceAPI: tracing overhead (simulated seconds) ==";
   let rv = rv_setup () in
   let base = rv_base rv in
-  let bb_count, _ = rv_instrumented ~points:`Blocks rv in
-  let bb_trace, bb_records, bb_flushes =
-    rv_traced rv Trace_api.Tracer.coverage_only
-  in
-  let mem_trace, mem_records, mem_flushes =
-    rv_traced rv Trace_api.Tracer.mem_only
-  in
-  Printf.printf "   %-12s %12s %9s %10s %8s\n" "mode" "seconds" "overhead"
-    "records" "flushes";
-  Printf.printf "   %-12s %12.4f %9s %10s %8s\n" "base" (seconds base) "" "" "";
-  Printf.printf "   %-12s %12.4f %8.2f%% %10s %8s\n" "bb-count"
-    (seconds bb_count) (pct base bb_count) "" "";
-  Printf.printf "   %-12s %12.4f %8.2f%% %10d %8d\n" "bb-trace"
-    (seconds bb_trace) (pct base bb_trace) bb_records bb_flushes;
-  Printf.printf "   %-12s %12.4f %8.2f%% %10d %8d\n" "mem-trace"
-    (seconds mem_trace) (pct base mem_trace) mem_records mem_flushes;
-  let ordered = bb_count <= bb_trace && bb_trace <= mem_trace in
-  Printf.printf "   overhead ordering bb-count <= bb-trace <= mem-trace: %s\n"
-    (if ordered then "ok" else "VIOLATED");
-  (* per-record attribution, whole run in guest cycles *)
   let base_cycles, base_instret = base_counts rv in
   let traced opts m =
     let ring = Trace_api.Ring.create m.Core.rw ~capacity:1024 in
@@ -397,6 +362,25 @@ let trace_overhead ?(json = "BENCH_trace.json") () =
   let at_bb_count = attribute rv ~base_cycles counted in
   let at_bb_trace = attribute rv ~base_cycles (traced Trace_api.Tracer.coverage_only) in
   let at_mem_trace = attribute rv ~base_cycles (traced Trace_api.Tracer.mem_only) in
+  let bb_count = at_bb_count.at_ns in
+  let bb_trace, bb_records, bb_flushes =
+    (at_bb_trace.at_ns, at_bb_trace.at_records, at_bb_trace.at_flushes)
+  in
+  let mem_trace, mem_records, mem_flushes =
+    (at_mem_trace.at_ns, at_mem_trace.at_records, at_mem_trace.at_flushes)
+  in
+  Printf.printf "   %-12s %12s %9s %10s %8s\n" "mode" "seconds" "overhead"
+    "records" "flushes";
+  Printf.printf "   %-12s %12.4f %9s %10s %8s\n" "base" (seconds base) "" "" "";
+  Printf.printf "   %-12s %12.4f %8.2f%% %10s %8s\n" "bb-count"
+    (seconds bb_count) (pct base bb_count) "" "";
+  Printf.printf "   %-12s %12.4f %8.2f%% %10d %8d\n" "bb-trace"
+    (seconds bb_trace) (pct base bb_trace) bb_records bb_flushes;
+  Printf.printf "   %-12s %12.4f %8.2f%% %10d %8d\n" "mem-trace"
+    (seconds mem_trace) (pct base mem_trace) mem_records mem_flushes;
+  let ordered = bb_count <= bb_trace && bb_trace <= mem_trace in
+  Printf.printf "   overhead ordering bb-count <= bb-trace <= mem-trace: %s\n"
+    (if ordered then "ok" else "VIOLATED");
   let per_exec (a : attribution) x = Int64.to_float x /. float_of_int (max 1 a.at_execs) in
   Printf.printf "\n   guest cycles per snippet execution (whole run):\n";
   Printf.printf "   %-24s %10s %10s %10s\n" "component" "bb-count" "bb-trace" "mem-trace";
