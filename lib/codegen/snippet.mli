@@ -108,11 +108,9 @@ val in_place : expr -> bool
     operator to the right. *)
 val canon : binop -> expr -> expr -> expr * expr
 
-(** The immediate a [Bin (op, _, Const c)] lowers with, if it has an
-    immediate form ([Minus]/[Eq]/[Ne] use [-c], [Le]/[Gt] use [c+1]). *)
-val imm_operand : binop -> int64 -> int64 option
-
-(** [imm_form op b]: [imm_operand] when [b] is a constant. *)
+(** The immediate a [Bin (op, _, b)] lowers with, if [b] is a constant
+    that has an immediate form ([Minus]/[Eq]/[Ne] use [-c], [Le]/[Gt]
+    use [c+1]). *)
 val imm_form : binop -> expr -> int64 option
 
 (** A memory operand: absolute, or base expression + folded offset. *)
