@@ -22,7 +22,8 @@
 #                interpreter differential, the parallel-parser CFG
 #                differential (minicc mutatees vs the sequential
 #                reference, adversarial fuzz streams vs domains=1, at
-#                1/2/4/8 oversubscribed domains), and the codegen
+#                each distinct width that 1/2/4/8 requested domains
+#                clamp to on the host's cores), and the codegen
 #                differential (seeded random snippets lowered and run
 #                under rvsim vs an AST evaluator).  Deterministic and
 #                fast; prints an `rvcheck replay --seed N --index K`

@@ -319,7 +319,7 @@ let base_counts (s : rv_setup) =
   ignore (Rvsim.Loader.run p);
   (p.Rvsim.Loader.machine.Rvsim.Machine.cycles, p.Rvsim.Loader.machine.Rvsim.Machine.instret)
 
-let round2 x = Float.round (x *. 100.) /. 100.
+let round2 = Report.fixed 2
 
 let attribution_json (a : attribution) =
   let module J = Dyn_util.Jsonw in
@@ -422,50 +422,43 @@ let trace_overhead ?(json = "BENCH_trace.json") () =
   Printf.printf "   mem-trace hot path %.2f cycles/record <= %.0f: %s\n" mem_hot
     mem_trace_hot_bar (if hot_ok then "ok" else "FAILED");
   let module J = Dyn_util.Jsonw in
-  let int x = J.Int (Int64.of_int x) and ns x = J.Int x in
-  let doc =
-    J.Obj
-      [
-        ("mutatee", J.String (Printf.sprintf "matmul_%dx%d_reps%d" matmul_n matmul_n matmul_reps));
-        ("ring_capacity", int 1024);
-        ("base_ns", ns base);
-        ("bb_count_ns", ns bb_count);
-        ("bb_trace_ns", ns bb_trace);
-        ("mem_trace_ns", ns mem_trace);
-        ("bb_count_overhead_pct", J.Float (round2 (pct base bb_count)));
-        ("bb_trace_overhead_pct", J.Float (round2 (pct base bb_trace)));
-        ("mem_trace_overhead_pct", J.Float (round2 (pct base mem_trace)));
-        ("bb_trace_records", int bb_records);
-        ("bb_trace_flushes", int bb_flushes);
-        ("mem_trace_records", int mem_records);
-        ("mem_trace_flushes", int mem_flushes);
-        ("ordering_ok", J.Bool ordered);
-        ( "attribution",
-          J.Obj
-            [
-              ("unit", J.String "guest cycles per snippet execution, whole run");
-              ("bb_count", attribution_json at_bb_count);
-              ("bb_trace", attribution_json at_bb_trace);
-              ("mem_trace", attribution_json at_mem_trace);
-              ( "bb_count_gap",
-                J.Obj
-                  [
-                    ("paper_pct", J.Float paper_bb_count_pct);
-                    ("cycles_pct", J.Float (round2 cyc_pct));
-                    ("instructions_pct", J.Float (round2 insn_pct));
-                    ("codegen_points", J.Float (round2 (insn_pct -. paper_bb_count_pct)));
-                    ("cost_model_points", J.Float (round2 (cyc_pct -. insn_pct)));
-                  ] );
-              ("mem_trace_hot_cycles_bar", J.Float mem_trace_hot_bar);
-              ("mem_trace_hot_ok", J.Bool hot_ok);
-            ] );
-      ]
-  in
-  let oc = open_out json in
-  output_string oc (J.to_string_pretty doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   wrote %s\n" json;
+  let int = Report.int and ns x = J.Int x in
+  Report.write json
+    [
+      ("mutatee", J.String (Printf.sprintf "matmul_%dx%d_reps%d" matmul_n matmul_n matmul_reps));
+      ("ring_capacity", int 1024);
+      ("base_ns", ns base);
+      ("bb_count_ns", ns bb_count);
+      ("bb_trace_ns", ns bb_trace);
+      ("mem_trace_ns", ns mem_trace);
+      ("bb_count_overhead_pct", J.Float (round2 (pct base bb_count)));
+      ("bb_trace_overhead_pct", J.Float (round2 (pct base bb_trace)));
+      ("mem_trace_overhead_pct", J.Float (round2 (pct base mem_trace)));
+      ("bb_trace_records", int bb_records);
+      ("bb_trace_flushes", int bb_flushes);
+      ("mem_trace_records", int mem_records);
+      ("mem_trace_flushes", int mem_flushes);
+      ("ordering_ok", J.Bool ordered);
+      ( "attribution",
+        J.Obj
+          [
+            ("unit", J.String "guest cycles per snippet execution, whole run");
+            ("bb_count", attribution_json at_bb_count);
+            ("bb_trace", attribution_json at_bb_trace);
+            ("mem_trace", attribution_json at_mem_trace);
+            ( "bb_count_gap",
+              J.Obj
+                [
+                  ("paper_pct", J.Float paper_bb_count_pct);
+                  ("cycles_pct", J.Float (round2 cyc_pct));
+                  ("instructions_pct", J.Float (round2 insn_pct));
+                  ("codegen_points", J.Float (round2 (insn_pct -. paper_bb_count_pct)));
+                  ("cost_model_points", J.Float (round2 (cyc_pct -. insn_pct)));
+                ] );
+            ("mem_trace_hot_cycles_bar", J.Float mem_trace_hot_bar);
+            ("mem_trace_hot_ok", J.Bool hot_ok);
+          ] );
+    ];
   if not hot_ok then
     Printf.ksprintf failwith
       "trace gate: mem-trace hot path %.2f cycles/record above the %.0f bar"
@@ -525,31 +518,27 @@ let prof_overhead ?(smoke = false) ?(json = "BENCH_prof.json") () =
   let hottest =
     match v.Perf_api.Validate.v_prof_hottest with Some f -> f | None -> "?"
   in
-  let oc = open_out json in
-  Printf.fprintf oc
-    "{\n\
-    \  \"mutatee\": \"matmul_%dx%d_reps%d\",\n\
-    \  \"sample_cost_cycles\": %d,\n\
-    \  \"base_ns\": %Ld,\n\
-    \  \"bb_count_ns\": %Ld,\n\
-    \  \"bb_count_overhead_pct\": %.2f,\n\
-    \  \"prof_10k_ns\": %Ld,\n\
-    \  \"prof_10k_overhead_pct\": %.2f,\n\
-    \  \"prof_10k_samples\": %d,\n\
-    \  \"prof_1k_ns\": %Ld,\n\
-    \  \"prof_1k_overhead_pct\": %.2f,\n\
-    \  \"prof_1k_samples\": %d,\n\
-    \  \"hottest\": \"%s\",\n\
-    \  \"trace_agreement\": %b,\n\
-    \  \"sampling_below_bb_count\": %b\n\
-     }\n"
-    n n reps Perf_api.Profiler.default_config.Perf_api.Profiler.sample_cost
-    base bb_count (pct base bb_count) prof_10k (pct base prof_10k)
-    r_10k.Perf_api.Profiler.r_n_samples prof_1k (pct base prof_1k)
-    r_1k.Perf_api.Profiler.r_n_samples hottest v.Perf_api.Validate.v_agree
-    below;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json
+  let module J = Dyn_util.Jsonw in
+  let int = Report.int and ns x = J.Int x in
+  let overhead v = J.Float (round2 (pct base v)) in
+  Report.write json
+    [
+      ("mutatee", J.String (Printf.sprintf "matmul_%dx%d_reps%d" n n reps));
+      ( "sample_cost_cycles",
+        int Perf_api.Profiler.default_config.Perf_api.Profiler.sample_cost );
+      ("base_ns", ns base);
+      ("bb_count_ns", ns bb_count);
+      ("bb_count_overhead_pct", overhead bb_count);
+      ("prof_10k_ns", ns prof_10k);
+      ("prof_10k_overhead_pct", overhead prof_10k);
+      ("prof_10k_samples", int r_10k.Perf_api.Profiler.r_n_samples);
+      ("prof_1k_ns", ns prof_1k);
+      ("prof_1k_overhead_pct", overhead prof_1k);
+      ("prof_1k_samples", int r_1k.Perf_api.Profiler.r_n_samples);
+      ("hottest", J.String hottest);
+      ("trace_agreement", J.Bool v.Perf_api.Validate.v_agree);
+      ("sampling_below_bb_count", J.Bool below);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* ablation: the dead-register optimization (paper 4.3's explanation)   *)
@@ -707,15 +696,15 @@ int f%d(int x) {
    are hard gates (the bench fails, and `make bench-smoke` /
    `make check` with it, on violation).  On a single-core host the win
    is algorithmic — the engine's binary-search decode cache and
-   incremental predecessor index against the reference's linear scans —
-   while the N-domain run still drives the work-stealing fan-out end to
-   end (task and steal counts land in the Dyn_obs registry). *)
+   incremental predecessor index against the reference's linear scans.
+   The N-domain run is the engine's shared-cursor fan-out at the host's
+   core count (task and round counts land in the Dyn_obs registry). *)
 let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
   print_endline "\n== ParseAPI: parallel parse vs sequential reference ==";
   let sizes = if smoke then [ 100; 400 ] else [ 400; 2000; 8000 ] in
   let repeats = if smoke then 3 else 5 in
   let bar = if smoke then 1.5 else 2.5 in
-  let nd = max 2 (Domain.recommended_domain_count ()) in
+  let nd = Domain.recommended_domain_count () in
   (* best-of-[repeats]: parsing is deterministic, so the minimum is the
      least-noisy estimate of the true cost *)
   let best f =
@@ -738,15 +727,11 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
           (Minicc.Driver.compile (synthetic_source n)).Minicc.Driver.image
         in
         let st = Symtab.of_image img in
-        let t_ref, ref_cfg = best (fun () -> Parse_api.Refparser.parse st) in
+        let t_ref, ref_cfg = best (fun () -> Check_api.Refparser.parse st) in
         let t_1, cfg_1 = best (fun () -> Parse_api.Parser.parse ~domains:1 st) in
         let t_n, cfg_n =
           best (fun () -> Parse_api.Parser.parse ~domains:nd st)
         in
-        (* untimed: force true [nd]-worker fan-out even where the
-           engine's scheduling policy would clamp to the core count, so
-           the identity gate always covers a genuinely parallel parse *)
-        let cfg_os = Parse_api.Parser.parse ~domains:nd ~oversubscribe:true st in
         let insns =
           Array.fold_left
             (fun acc (b : Parse_api.Cfg.block) ->
@@ -757,7 +742,6 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
           List.length (Parse_api.Cfg_diff.diff ref_cfg cfg_1)
           + List.length (Parse_api.Cfg_diff.diff ref_cfg cfg_n)
           + List.length (Parse_api.Cfg_diff.diff cfg_1 cfg_n)
-          + List.length (Parse_api.Cfg_diff.diff ref_cfg cfg_os)
         in
         let mips t = float_of_int insns /. 1e6 /. t in
         Printf.printf
@@ -770,9 +754,8 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
         (n, insns, t_ref, t_1, t_n, diffs))
       sizes
   in
-  Printf.printf "   scheduler: %d parse tasks, %d steals, %d rounds\n"
-    (reg_count "parse.tasks") (reg_count "parse.steals")
-    (reg_count "parse.rounds");
+  Printf.printf "   scheduler: %d parse tasks, %d rounds\n"
+    (reg_count "parse.tasks") (reg_count "parse.rounds");
   let _, _, t_ref, _, t_n, _ = List.nth rows (List.length rows - 1) in
   let speedup = t_ref /. t_n in
   let total_diffs = List.fold_left (fun a (_, _, _, _, _, d) -> a + d) 0 rows in
@@ -785,30 +768,35 @@ let parse_bench ?(smoke = false) ?(json = "BENCH_parse.json") () =
     nd
     (if ident_ok then "ok" else "VIOLATED")
     total_diffs;
-  let oc = open_out json in
-  Printf.fprintf oc "{\n  \"domains\": %d,\n  \"speedup_bar\": %.1f,\n" nd bar;
-  Printf.fprintf oc "  \"corpora\": [\n";
-  List.iteri
-    (fun i (n, insns, t_ref, t_1, t_n, diffs) ->
-      Printf.fprintf oc
-        "    {\"funcs\": %d, \"insns\": %d, \"seq_ref_ms\": %.3f, \
-         \"domains1_ms\": %.3f, \"domainsN_ms\": %.3f, \"seq_ref_mips\": \
-         %.2f, \"domainsN_mips\": %.2f, \"speedup_vs_seq\": %.2f, \
-         \"cfg_diffs\": %d}%s\n"
-        n insns (t_ref *. 1e3) (t_1 *. 1e3) (t_n *. 1e3)
-        (float_of_int insns /. 1e6 /. t_ref)
-        (float_of_int insns /. 1e6 /. t_n)
-        (t_ref /. t_n) diffs
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"parse_tasks\": %d,\n  \"parse_steals\": %d,\n  \"speedup_vs_seq\": \
-     %.2f,\n  \"speedup_ok\": %b,\n  \"cfg_identity_ok\": %b\n}\n"
-    (reg_count "parse.tasks") (reg_count "parse.steals") speedup speed_ok
-    ident_ok;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json;
+  let module J = Dyn_util.Jsonw in
+  let ms t = J.Float (Report.fixed 3 (t *. 1e3)) in
+  let mips insns t = J.Float (round2 (float_of_int insns /. 1e6 /. t)) in
+  Report.write json
+    [
+      ("domains", Report.int nd);
+      ("speedup_bar", J.Float bar);
+      ( "corpora",
+        J.List
+          (List.map
+             (fun (n, insns, t_ref, t_1, t_n, diffs) ->
+               J.Obj
+                 [
+                   ("funcs", Report.int n);
+                   ("insns", Report.int insns);
+                   ("seq_ref_ms", ms t_ref);
+                   ("domains1_ms", ms t_1);
+                   ("domainsN_ms", ms t_n);
+                   ("seq_ref_mips", mips insns t_ref);
+                   ("domainsN_mips", mips insns t_n);
+                   ("speedup_vs_seq", J.Float (round2 (t_ref /. t_n)));
+                   ("cfg_diffs", Report.int diffs);
+                 ])
+             rows) );
+      ("parse_tasks", Report.int (reg_count "parse.tasks"));
+      ("speedup_vs_seq", J.Float (round2 speedup));
+      ("speedup_ok", J.Bool speed_ok);
+      ("cfg_identity_ok", J.Bool ident_ok);
+    ];
   if not ident_ok then
     Printf.ksprintf failwith
       "parse gate: %d CFG differences between the reference and the parallel \
@@ -1064,31 +1052,27 @@ let sim_throughput ?(smoke = false) ?(json = "BENCH_sim.json") () =
       ()
   in
   Format.printf "   %a" Check_api.Enginediff.pp_summary diff;
-  let oc = open_out json in
-  Printf.fprintf oc
-    "{\n\
-    \  \"mutatee\": \"matmul_%dx%d_reps%d\",\n\
-    \  \"interp_mips\": %.2f,\n\
-    \  \"block_mips\": %.2f,\n\
-    \  \"interp_trace_mips\": %.2f,\n\
-    \  \"block_trace_mips\": %.2f,\n\
-    \  \"speedup_trace_off\": %.2f,\n\
-    \  \"speedup_trace_on\": %.2f,\n\
-    \  \"blocks_translated\": %d,\n\
-    \  \"chain_hits\": %d,\n\
-    \  \"flushes\": %d,\n\
-    \  \"interp_steps_trace_on\": %d,\n\
-    \  \"engine_diff_runs\": %d,\n\
-    \  \"engine_diff_divergences\": %d,\n\
-    \  \"speedup_3x_ok\": %b,\n\
-    \  \"speedup_trace_on_ok\": %b\n\
-     }\n"
-    n n reps interp_off block_off interp_on block_on speedup_off speedup_on
-    translated chain_hits flushes interp_steps_on
-    diff.Check_api.Enginediff.s_checked
-    diff.Check_api.Enginediff.s_diverged off_ok on_ok;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json;
+  let module J = Dyn_util.Jsonw in
+  let num x = J.Float (round2 x) in
+  Report.write json
+    [
+      ("mutatee", J.String (Printf.sprintf "matmul_%dx%d_reps%d" n n reps));
+      ("interp_mips", num interp_off);
+      ("block_mips", num block_off);
+      ("interp_trace_mips", num interp_on);
+      ("block_trace_mips", num block_on);
+      ("speedup_trace_off", num speedup_off);
+      ("speedup_trace_on", num speedup_on);
+      ("blocks_translated", Report.int translated);
+      ("chain_hits", Report.int chain_hits);
+      ("flushes", Report.int flushes);
+      ("interp_steps_trace_on", Report.int interp_steps_on);
+      ("engine_diff_runs", Report.int diff.Check_api.Enginediff.s_checked);
+      ( "engine_diff_divergences",
+        Report.int diff.Check_api.Enginediff.s_diverged );
+      ("speedup_3x_ok", J.Bool off_ok);
+      ("speedup_trace_on_ok", J.Bool on_ok);
+    ];
   if diff.Check_api.Enginediff.s_diverged > 0 then
     failwith "sim-throughput gate: engine differential diverged";
   if interp_steps_on <> 0 then

@@ -183,30 +183,40 @@ let bench ?(smoke = false) ?(json = "BENCH_served.json") () =
     m_on m_off m_pct
     (if smoke then 10.0 else 3.0)
     (if m_ok then "ok" else "VIOLATED");
-  let oc = open_out json in
-  Printf.fprintf oc "{\n  \"mutatees\": %d,\n  \"jobs_per_batch\": %d,\n"
-    (List.length paths) (List.length reqs);
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i (d, cold, warm) ->
-      Printf.fprintf oc
-        "    {\"domains\": %d, \"cold_jobs_per_s\": %.1f, \"warm_jobs_per_s\": \
-         %.1f}%s\n"
-        d cold warm
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"warm_over_cold_1d\": %.2f,\n  \"warm_over_cold_ok\": %b,\n" ratio ok;
-  Printf.fprintf oc
-    "  \"verify_job\": {\"payload_bytes\": %d, \"warm_byte_stable\": %b},\n"
-    v_bytes v_stable;
-  Printf.fprintf oc
-    "  \"metrics_overhead\": {\"warm_on_jobs_per_s\": %.1f, \
-     \"warm_off_jobs_per_s\": %.1f, \"overhead_pct\": %.2f, \"ok\": %b}\n}\n"
-    m_on m_off m_pct m_ok;
-  close_out oc;
-  Printf.printf "   wrote %s\n" json;
+  let module J = Dyn_util.Jsonw in
+  let rate x = J.Float (Report.fixed 1 x) in
+  Report.write json
+    [
+      ("mutatees", Report.int (List.length paths));
+      ("jobs_per_batch", Report.int (List.length reqs));
+      ( "rows",
+        J.List
+          (List.map
+             (fun (d, cold, warm) ->
+               J.Obj
+                 [
+                   ("domains", Report.int d);
+                   ("cold_jobs_per_s", rate cold);
+                   ("warm_jobs_per_s", rate warm);
+                 ])
+             rows) );
+      ("warm_over_cold_1d", J.Float (Report.fixed 2 ratio));
+      ("warm_over_cold_ok", J.Bool ok);
+      ( "verify_job",
+        J.Obj
+          [
+            ("payload_bytes", Report.int v_bytes);
+            ("warm_byte_stable", J.Bool v_stable);
+          ] );
+      ( "metrics_overhead",
+        J.Obj
+          [
+            ("warm_on_jobs_per_s", rate m_on);
+            ("warm_off_jobs_per_s", rate m_off);
+            ("overhead_pct", J.Float (Report.fixed 2 m_pct));
+            ("ok", J.Bool m_ok);
+          ] );
+    ];
   if not ok then failwith "rvserved bench: warm cache under 5x cold";
   if not v_stable then
     failwith "rvserved bench: warm verify payload not byte-identical to cold";

@@ -18,7 +18,9 @@
          instret, HPM counters and timer firing points
      rvcheck parsediff --seeds 20
          parse the same mutatees with the domain-parallel engine at
-         1/2/4/8 domains and diff the CFGs structurally: minicc builtins
+         each distinct width that 1/2/4/8 requested domains clamp to on
+         this host's cores (each row names the width that ran) and
+         diff the CFGs structurally: minicc builtins
          against the frozen sequential reference parser, seeded
          adversarial instruction streams against the engine's own
          single-domain parse — any difference is a determinism bug

@@ -4,8 +4,10 @@
    The parallel parser's whole contract is CFG identity: for any domain
    count the merged CFG must be a pure function of the image — same
    functions, same block boundaries, same edges, same jump tables.
-   This harness parses the same image at 1/2/4/8 domains and diffs the
-   CFGs structurally with Cfg_diff, against one of two oracles:
+   This harness parses the same image at every fan-out width the engine
+   runs on this host (1/2/4/8 domains, clamped to the core count) and
+   diffs the CFGs structurally with Cfg_diff, against one of two
+   oracles:
 
      - minicc builtins (real calls, switches over jump tables, FP
        matmul): the frozen sequential reference parser.  On structured
@@ -37,12 +39,11 @@ type result = {
 
 type summary = { s_checked : int; s_diverged : int; s_failures : result list }
 
-(* 1 exercises the sequential fast path of the engine; 2/4/8 the
-   work-stealing fan-out.  [~oversubscribe:true] bypasses the engine's
-   clamp to the hardware core count: oversubscription on small machines
-   is exactly the contended scheduling regime a determinism harness
-   wants, even though the production policy avoids it for speed. *)
-let domain_counts = [ 1; 2; 4; 8 ]
+(* 1 runs the engine on the calling domain alone; wider widths the
+   shared-cursor fan-out.  The engine clamps a request to the core
+   count, so each distinct width it would actually run is parsed once
+   and reported as it ran. *)
+let widths = List.sort_uniq compare (List.map Parser.workers [ 1; 2; 4; 8 ])
 
 let builtin_srcs =
   [
@@ -60,7 +61,7 @@ let against name st (oracle : Cfg.t) oracle_name ds : result list =
   let blocks = Cfg.n_blocks oracle in
   List.map
     (fun d ->
-      match Parser.parse ~domains:d ~oversubscribe:true st with
+      match Parser.parse ~domains:d st with
       | cfg ->
           {
             p_name = name;
@@ -86,7 +87,7 @@ let against name st (oracle : Cfg.t) oracle_name ds : result list =
 (* Structured (compiler-emitted) code: the frozen sequential parser is
    the oracle and every domain count must reproduce its CFG exactly. *)
 let check_against_reference name (st : Symtab.t) : result list =
-  against name st (Refparser.parse st) "the sequential reference" domain_counts
+  against name st (Refparser.parse st) "the sequential reference" widths
 
 (* Hostile code: functions can share blocks, and the sequential
    parser's per-function attributes on shared blocks (membership of
@@ -94,11 +95,11 @@ let check_against_reference name (st : Symtab.t) : result list =
    historically parsed the block first — the very history-dependence
    the round-based engine removes.  (It can even abort outright on
    branches into instruction middles.)  So the adversarial oracle is
-   the engine's own single-domain parse: 2/4/8 domains must reproduce
+   the engine's own single-domain parse: every wider width must reproduce
    the domains=1 outcome exactly — the same CFG, or the same
    rejection. *)
 let check_self_consistent name (st : Symtab.t) : result list =
-  match Parser.parse ~domains:1 ~oversubscribe:true st with
+  match Parser.parse ~domains:1 st with
   | base ->
       {
         p_name = name;
@@ -108,11 +109,11 @@ let check_self_consistent name (st : Symtab.t) : result list =
         p_diffs = [];
       }
       :: against name st base "domains=1"
-           (List.filter (fun d -> d <> 1) domain_counts)
+           (List.filter (fun d -> d <> 1) widths)
   | exception _ ->
       List.map
         (fun d ->
-          match Parser.parse ~domains:d ~oversubscribe:true st with
+          match Parser.parse ~domains:d st with
           | _ ->
               {
                 p_name = name;
@@ -134,7 +135,7 @@ let check_self_consistent name (st : Symtab.t) : result list =
                 p_blocks = 0;
                 p_diffs = [];
               })
-        domain_counts
+        widths
 
 let check_builtin name : result list =
   let src =

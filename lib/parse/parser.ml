@@ -11,23 +11,24 @@
    whole, themselves feeding any discoveries through the same round
    machinery.  Finally {!Cfg.freeze} computes the read-side snapshots.
 
-   Tasks are scheduled over a work-stealing deque per domain
-   ({!Wsdeque}); [~domains:1] runs the identical task/merge code path
-   sequentially, so the output is schedule-independent by construction:
-   what each task computes depends only on (image, entry snapshot), and
-   the merge processes partials in ascending entry order regardless of
-   completion order.
+   A round's tasks are claimed from one shared atomic cursor by every
+   worker domain; [~domains:1] runs the identical task/merge code path
+   on the calling domain alone, so the output is schedule-independent
+   by construction: what each task computes depends only on (image,
+   entry snapshot), and the merge processes partials in ascending entry
+   order regardless of completion order.
 
    Classification is unchanged from the sequential reference
-   ({!Refparser}): jal/jalr decisions follow the paper's procedure (link
-   register, backward slice, span tests, jump-table analysis, unresolved
-   fallback).  Two index structures replace the reference's linear
-   scans: decoding binary-searches a base-sorted code-region array with
-   a lazy per-halfword memo (shared across domains — a racy publish of
-   an immutable decode result is memory-safe in OCaml 5, and a stale
-   read only costs a redundant decode), and jump-table guard lookup
-   reads an incremental predecessor index maintained on block
-   registration instead of scanning every block. *)
+   ([Check_api.Refparser]): jal/jalr decisions follow the paper's
+   procedure (link register, backward slice, span tests, jump-table
+   analysis, unresolved fallback).  Two index structures replace the
+   reference's linear scans: decoding binary-searches a base-sorted
+   code-region array with a lazy per-halfword memo (shared across
+   domains — a racy publish of an immutable decode result is
+   memory-safe in OCaml 5, and a stale read only costs a redundant
+   decode), and jump-table guard lookup reads an incremental
+   predecessor index maintained on block registration instead of
+   scanning every block. *)
 
 open Riscv
 open Cfg
@@ -39,7 +40,6 @@ module Obs = Dyn_obs.Registry
 module Trace = Dyn_obs.Trace
 
 let m_tasks = Obs.counter "parse.tasks"
-let m_steals = Obs.counter "parse.steals"
 let m_rounds = Obs.counter "parse.rounds"
 let h_merge = Obs.histogram "parse.merge_ns"
 let h_tasks = Obs.histogram "parse.tasks_ns"
@@ -641,67 +641,34 @@ let parse_task img base_entries entry_tbl entry : partial =
     p_new = List.rev eng.new_entries;
   }
 
-(* Fan the round's tasks across [domains] workers, one work-stealing
-   deque each, results into fixed slots (completion order is
-   irrelevant — the merge sorts by entry). *)
+(* Fan the round's tasks across [workers] domains, the calling one
+   included.  No task enqueues work mid-round (new entries wait for the
+   next round), so the round is a fixed array and one shared cursor is
+   the whole scheduler: each worker claims the next index until the
+   cursor passes the end or a failure is recorded.  Results land in
+   fixed slots (completion order is irrelevant — the merge sorts by
+   entry); the first failure is re-raised after the join. *)
 let run_tasks ~workers img base_entries entry_tbl (pending : int64 array) :
     partial array =
   let n = Array.length pending in
   let results = Array.make n None in
   let failure = Atomic.make None in
-  let run i =
-    match parse_task img base_entries entry_tbl pending.(i) with
-    | p -> results.(i) <- Some p
-    | exception e -> ignore (Atomic.compare_and_set failure None (Some e))
+  let next = Atomic.make 0 in
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n && Atomic.get failure = None then begin
+      (match parse_task img base_entries entry_tbl pending.(i) with
+      | p -> results.(i) <- Some p
+      | exception e -> ignore (Atomic.compare_and_set failure None (Some e)));
+      worker ()
+    end
   in
   Obs.incr ~by:n m_tasks;
-  let w = max 1 (min workers n) in
-  if w = 1 then
-    for i = 0 to n - 1 do
-      run i
-    done
-  else begin
-    let deques = Array.init w (fun _ -> Wsdeque.create ()) in
-    for i = 0 to n - 1 do
-      Wsdeque.push deques.(i mod w) i
-    done;
-    let steals = Atomic.make 0 in
-    (* No task ever enqueues more work mid-round (new entries wait for
-       the next round), so the deques only drain: once a worker's pop
-       and a full steal sweep both come up empty it can exit — spinning
-       until every in-flight task finishes would burn a scheduler
-       quantum per deschedule on oversubscribed machines. *)
-    let worker k =
-      let rec loop () =
-        if Atomic.get failure = None then
-          match Wsdeque.pop deques.(k) with
-          | Some i ->
-              run i;
-              loop ()
-          | None -> (
-              let rec try_steal j =
-                if j >= w then None
-                else
-                  match Wsdeque.steal deques.((k + j) mod w) with
-                  | Some _ as r -> r
-                  | None -> try_steal (j + 1)
-              in
-              match try_steal 1 with
-              | Some i ->
-                  Atomic.incr steals;
-                  run i;
-                  loop ()
-              | None -> ())
-      in
-      loop ()
-    in
-    let doms =
-      Array.init (w - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-    in
-    worker 0;
-    Array.iter Domain.join doms;
-    Obs.incr ~by:(Atomic.get steals) m_steals
-  end;
+  let doms =
+    Array.init (max 1 (min workers n) - 1) (fun _ -> Domain.spawn worker)
+  in
+  worker ();
+  Array.iter Domain.join doms;
   (match Atomic.get failure with Some e -> raise e | None -> ());
   Array.map (function Some p -> p | None -> assert false) results
 
@@ -1032,23 +999,19 @@ let refine_indirects g (cfg : Cfg.t) : bool =
 
 (* ------------------------------------------------------------------ *)
 
+(* Scheduling policy: never fan out beyond the hardware's core count.
+   The CFG is schedule-independent, so extra workers can only add
+   stop-the-world GC synchronizations — with more domains than cores
+   each one waits for a descheduled peer domain. *)
+let workers domains = min (max 1 domains) (Domain.recommended_domain_count ())
+
 (* Parse [symtab]'s binary.  Entry points: the ELF entry point and all
    function symbols; call targets discovered during traversal are fed
    back round by round; with [gap_parsing] (default), uncovered byte
    ranges are scanned for prologues afterwards.  [domains] is the task
    fan-out width; the result is identical for every value. *)
-let parse ?(gap_parsing = true) ?(domains = 1) ?(oversubscribe = false)
-    (symtab : Symtab.t) : Cfg.t =
-  (* Scheduling policy: never fan out beyond the hardware's core count.
-     The CFG is schedule-independent, so extra workers can only add
-     stop-the-world GC synchronizations — on an oversubscribed machine
-     each one waits for a descheduled peer domain.  [~oversubscribe]
-     bypasses the clamp; the parsediff harness uses it to stress the
-     contended scheduling regime the clamp exists to avoid. *)
-  let workers =
-    let d = max 1 domains in
-    if oversubscribe then d else min d (Domain.recommended_domain_count ())
-  in
+let parse ?(gap_parsing = true) ?(domains = 1) (symtab : Symtab.t) : Cfg.t =
+  let workers = workers domains in
   let img = image_of symtab in
   let cfg = Cfg.create symtab in
   let g = mk_global_eng img cfg in

@@ -549,10 +549,11 @@ let test_function_names () =
   checks "symbol name used" "work" (find_func cfg "work").Cfg.f_name
 
 (* The differential gate at unit-test scale: the frozen sequential
-   reference parser and the parallel engine at 1/2/4/8 domains must
-   produce structurally identical CFGs. *)
+   reference parser and the parallel engine at 1/2/4/8 requested
+   domains (clamped to the core count) must produce structurally
+   identical CFGs. *)
 let check_all_domains name st =
-  let ref_cfg = Refparser.parse st in
+  let ref_cfg = Check_api.Refparser.parse st in
   List.iter
     (fun d ->
       let cfg = Parser.parse ~domains:d st in
@@ -586,6 +587,18 @@ let test_parallel_parse_mutatees () =
       ("switch", Minicc.Programs.switch_demo);
       ("matmul", Minicc.Programs.matmul ~n:4 ~reps:1);
     ]
+
+(* A hostile stream on which a round's task raises mid-fan-out: the
+   failure is re-raised after the join, the same at every width. *)
+let test_parallel_parse_failure () =
+  let st = Check_api.Parsediff.fuzz_symtab ~seed:4008L ~len:96 in
+  let expected =
+    match Parser.parse ~domains:1 st with
+    | _ -> Alcotest.fail "domains=1 parsed the hostile stream"
+    | exception (Dyn_util.Interval_map.Overlap _ as e) -> e
+  in
+  Alcotest.check_raises "domains=2 raises as domains=1" expected (fun () ->
+      ignore (Parser.parse ~domains:2 st))
 
 let () =
   Alcotest.run "parse"
@@ -623,5 +636,7 @@ let () =
             test_parallel_parse_agrees;
           Alcotest.test_case "parallel parse mutatees" `Quick
             test_parallel_parse_mutatees;
+          Alcotest.test_case "parallel parse failure" `Quick
+            test_parallel_parse_failure;
         ] );
     ]
